@@ -207,6 +207,18 @@ def vni_octopole(
     return -7.5 * g * v3, 1.5 * g * v4
 
 
+def _assemble(
+    quad: QuadrupoleMoments,
+    octo: OctopoleMoments,
+    kin: ScatteringKinematics,
+    radial: RadialCoefficients,
+    g: float,
+) -> BornAmplitude:
+    v1, v2 = vni_quadrupole(quad, kin, radial, g)
+    v3, v4 = vni_octopole(octo, kin, radial, g)
+    return BornAmplitude(v1=v1, v2=v2, v3=v3, v4=v4)
+
+
 def born_amplitude(spec: KnotSpec, kin: ScatteringKinematics, g: float = 1.0) -> BornAmplitude:
     """Assembled reduced matrix element for a knot and one kinematics.
 
@@ -217,24 +229,10 @@ def born_amplitude(spec: KnotSpec, kin: ScatteringKinematics, g: float = 1.0) ->
     """
     quad = quadrupole_moments(spec)
     octo = octopole_moments(spec)
-    radial = radial_coefficients(kin)
-    v1, v2 = vni_quadrupole(quad, kin, radial, g)
-    v3, v4 = vni_octopole(octo, kin, radial, g)
-    return BornAmplitude(v1=v1, v2=v2, v3=v3, v4=v4)
+    return _assemble(quad, octo, kin, radial_coefficients(kin), g)
 
 
-def triad_amplitude(p: int, q: int, kin: ScatteringKinematics, g: float = 1.0) -> BornAmplitude:
-    """Factorized prediction for the (p, q) torus knot from three unknots.
-
-    v1, v2 come from the planar unknot scaled by p/2; v3, v4 from the two
-    vertical unknots scaled by -q/2. For non-resonant coprime (p, q) this
-    equals born_amplitude(TorusKnot(p, q), ...) componentwise; resonant
-    pairs (a q = b p solvable with a <= 3, b <= 2) violate it because extra
-    zero-frequency terms survive in the torus moment integrals.
-    """
-    if gcd(p, q) != 1:
-        raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
-    radial = radial_coefficients(kin)
+def _triad(p: int, q: int, kin: ScatteringKinematics, radial: RadialCoefficients, g: float) -> BornAmplitude:
     planar = quadrupole_moments(UnknotXY())
     v1, v2 = vni_quadrupole(planar, kin, radial, g)
     v3 = 0.0 + 0.0j
@@ -248,17 +246,38 @@ def triad_amplitude(p: int, q: int, kin: ScatteringKinematics, g: float = 1.0) -
     )
 
 
+def triad_amplitude(p: int, q: int, kin: ScatteringKinematics, g: float = 1.0) -> BornAmplitude:
+    """Factorized prediction for the (p, q) torus knot from three unknots.
+
+    v1, v2 come from the planar unknot scaled by p/2; v3, v4 from the two
+    vertical unknots scaled by -q/2. For non-resonant coprime (p, q) this
+    equals born_amplitude(TorusKnot(p, q), ...) componentwise; resonant
+    pairs (a q = b p solvable with a <= 3, b <= 2) violate it because extra
+    zero-frequency terms survive in the torus moment integrals.
+    """
+    if gcd(p, q) != 1:
+        raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
+    return _triad(p, q, kin, radial_coefficients(kin), g)
+
+
 def factorization_residual(
     p: int, q: int, kin_samples: list[ScatteringKinematics], g: float = 1.0
 ) -> float:
-    """Worst relative defect of the triad factorization over the samples."""
+    """Worst relative defect of the triad factorization over the samples.
+
+    The radial coefficients are evaluated once per kinematics and shared by
+    the direct amplitude and the triad prediction.
+    """
     if not kin_samples:
         raise ValueError("at least one kinematics sample is required")
     spec = TorusKnot(p, q)
+    quad = quadrupole_moments(spec)
+    octo = octopole_moments(spec)
     worst = 0.0
     for kin in kin_samples:
-        direct = born_amplitude(spec, kin, g).total
-        predicted = triad_amplitude(p, q, kin, g).total
+        radial = radial_coefficients(kin)
+        direct = _assemble(quad, octo, kin, radial, g).total
+        predicted = _triad(p, q, kin, radial, g).total
         worst = max(worst, abs(direct - predicted) / max(abs(direct), 1e-300))
     return worst
 

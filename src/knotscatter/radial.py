@@ -6,16 +6,37 @@ appear in the scattering matrix element:
     rho_A(l) = integral_{lambda0}^{inf} j_l(k r) / r   dr
     rho_B(l) = (1/k) integral_{lambda0}^{inf} j_l(k r) / r^2 dr
 
-Both are dimensionless functions of a = k*lambda0 alone. They are evaluated
-three independent ways:
+Both are dimensionless functions of a = k*lambda0 alone. The amplitude path
+(radial_coefficients) uses one production scheme per order, chosen by a:
 
-* a closed form (gamma ratio minus a 1F2 series), valid for l >= 1 (A) and
-  l >= 2 (B); the excluded orders sit on a pole of the master formula and
-  raise :class:`DegenerateClosedForm`,
-* direct oscillatory quadrature, integrating zero-to-zero panels of j_l and
-  accelerating the alternating partial sums,
-* an elementary reduction to sine and cosine integrals, used as the second,
-  structurally different evaluation for cross-validation.
+* rho_A(0), and every order for a >= 2: j_l written as a finite sum of
+  sin(x)/x^m and cos(x)/x^m terms (DLMF 10.49), each integrated in closed
+  form from the sine and cosine integrals (A&S 5.2). Below a = 60 the moments
+  integral_a^inf e^{ix}/x^m dx follow from Si(a), Ci(a) by upward
+  recurrence; from a = 60 on they follow from the asymptotic series of the
+  highest moment by downward recurrence, because the upward recurrence
+  amplifies the rounding of Ci(a) by up to a^2 there.
+* rho_B(1) below a = 2: (rho_A(0) + j_1(a)/a) / 3, which avoids the 1/a^2
+  cancellation of the sine/cosine form at small a.
+* rho_A(2) and rho_B(3) below a = 2: the closed form (gamma ratio minus a
+  1F2 series); the sine/cosine form loses digits there (rho_B(3): 1e-2
+  relative at a = 1e-3).
+
+Arguments a > 1e3 are refused with ValueError. Against a 40-digit mpmath
+evaluation (241 log-spaced a in [1e-3, 1e3], 4001 in [30, 1e3]) the
+production error stays below 5e-13 of |rho| for a < 1 and of
+max(|rho|, a^-(s+1)) for a >= 1 (s = 1 for A, 2 for B; the envelope covers
+the zeros of the oscillating tail). The tests hold it to 1e-10.
+
+The other evaluations are oracles for tests and the CLI selfcheck, never
+called by the amplitude path:
+
+* radial_A_closed / radial_B_closed at any order l >= 1 (A), l >= 2 (B), for
+  a <= CLOSED_FORM_MAX_A; the excluded orders sit on a pole of the master
+  formula and raise :class:`DegenerateClosedForm`,
+* radial_quadrature, direct oscillatory quadrature that integrates
+  zero-to-zero panels of j_l and accelerates the alternating partial sums,
+* radial_reference, the sine/cosine reduction at a single order.
 
 The full coefficient assembly multiplies in i^l Y_lm(khat), and an extra
 factor k for the B family.
@@ -28,7 +49,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import sici, spherical_jn
 
 from .specfun import DegenerateClosedForm, NonConvergent, gamma_ratio, hyp1f2, spherical_harmonic
@@ -39,6 +59,19 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Allowed weight powers: the integrand written as r**weight_power * J_{l+1/2}(k r)
 #: corresponds to j_l(k r)/r (power -3/2) or j_l(k r)/r^2 (power -5/2).
 WEIGHT_POWERS = (-1.5, -2.5)
+
+#: Below this a the production scheme takes rho_A(2), rho_B(3) from the closed
+#: form and rho_B(1) from rho_A(0); from it on, all four from Si and Ci.
+SICI_SWITCH_A = 2.0
+
+#: Largest a accepted by radial_A_closed and radial_B_closed. Measured against
+#: mpmath on a 0.01-spaced grid, the 1F2 series keeps the error within
+#: 1e-10 * max(|rho|, a^-(s+1)) up to a = 15.4 for A(1..5) and B(2..4); the
+#: first miss is A(1) at a = 15.45, and the error grows to ~1e-4 at a = 32.
+CLOSED_FORM_MAX_A = 15.0
+
+#: From this a on, the sine/cosine moments come from their asymptotic series.
+_ASYMPTOTIC_A = 60.0
 
 
 @dataclass(frozen=True)
@@ -66,18 +99,30 @@ def _validate_kl(l: int, k: float, lambda0: float) -> float:
     return a
 
 
+def _validate_closed(l: int, k: float, lambda0: float) -> float:
+    a = _validate_kl(l, k, lambda0)
+    if a > CLOSED_FORM_MAX_A:
+        raise ValueError(
+            f"the 1F2 closed form loses accuracy above k*lambda0 = {CLOSED_FORM_MAX_A}, got {a}"
+        )
+    return a
+
+
 def radial_A_closed(l: int, k: float, lambda0: float) -> float:
     """Closed form of rho_A(l) = integral_{lambda0}^inf j_l(k r)/r dr, l >= 1.
 
     sqrt(pi/2) * [ 2^(-3/2) Gamma(l/2)/Gamma((l+3)/2)
                    - a^l / (2^(l+1/2) l Gamma(l+3/2))
                      * 1F2(l/2; l+3/2, (l+2)/2; -a^2/4) ],  a = k*lambda0.
+
+    The series cancels to ~1e-10 at a = 15 (CLOSED_FORM_MAX_A); larger a
+    raise ValueError.
     """
     if l == 0:
         raise DegenerateClosedForm("rho_A closed form divides by l; use quadrature for l = 0")
     if l < 0:
         raise ValueError(f"order must be non-negative, got {l}")
-    a = _validate_kl(l, k, lambda0)
+    a = _validate_closed(l, k, lambda0)
     head = 2.0 ** (-1.5) * gamma_ratio(l / 2.0, (l + 3) / 2.0)
     tail = (
         a**l
@@ -93,12 +138,15 @@ def radial_B_closed(l: int, k: float, lambda0: float) -> float:
     sqrt(pi/2) * [ 2^(-5/2) Gamma((l-1)/2)/Gamma((l+4)/2)
                    - a^(l-1) / (2^(l+1/2) (l-1) Gamma(l+3/2))
                      * 1F2((l-1)/2; l+3/2, (l+1)/2; -a^2/4) ],  a = k*lambda0.
+
+    The series cancels to ~1e-10 at a = 15 (CLOSED_FORM_MAX_A); larger a
+    raise ValueError.
     """
     if l == 1:
         raise DegenerateClosedForm("rho_B closed form divides by (l-1); use quadrature for l = 1")
     if l < 1:
         raise ValueError(f"order must be at least 1, got {l}")
-    a = _validate_kl(l, k, lambda0)
+    a = _validate_closed(l, k, lambda0)
     head = 2.0 ** (-2.5) * gamma_ratio((l - 1) / 2.0, (l + 4) / 2.0)
     tail = (
         a ** (l - 1)
@@ -111,6 +159,8 @@ def radial_B_closed(l: int, k: float, lambda0: float) -> float:
 def _bessel_zeros_from(l: int, start: float, count: int) -> list[float]:
     # Zeros of j_l greater than start, found by sign-change marching plus
     # Brent refinement. Consecutive zeros are a little more than pi apart.
+    from scipy.optimize import brentq  # oracle only: keeps scipy.optimize off the import path
+
     zeros: list[float] = []
     x = max(start, 1e-9)
     f_prev = spherical_jn(l, x)
@@ -212,14 +262,51 @@ _SIN_COS_FORM = {
 }
 
 
+def _sin_cos_moments(a: float, top: int) -> list[complex]:
+    # I[m] = integral_a^inf e^{ix} / x^m dx for 1 <= m <= top (I[0] unused), so
+    # that integral_a^inf cos(x)/x^m = I[m].real and sin(x)/x^m = I[m].imag.
+    # Integration by parts links the orders: I[m+1] = (e^{ia} a^-m + i I[m]) / m.
+    phase = complex(math.cos(a), math.sin(a))
+    moments = [0j] * (top + 1)
+    if a < _ASYMPTOTIC_A:
+        si_a, ci_a = sici(a)
+        moments[1] = complex(-ci_a, math.pi / 2.0 - si_a)
+        for m in range(1, top):
+            moments[m + 1] = (phase / a**m + 1j * moments[m]) / m
+        return moments
+    # I[top] ~ i e^{ia} a^-top sum_k (top)_k (-i/a)^k, summed up to its smallest
+    # term (~1e-18 relative at a = 60, top = 6), then recurred downward.
+    term = 1j * phase / a**top
+    total = term
+    for j in range(int(a) - top):
+        term *= (top + j) * (-1j / a)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    moments[top] = total
+    for m in range(top - 1, 0, -1):
+        moments[m] = 1j * (phase / a**m - m * moments[m + 1])
+    return moments
+
+
+def _sin_cos_integral(l: int, s: int, moments: list[complex]) -> float:
+    # integral_a^inf j_l(x) / x^s dx from the moments of _sin_cos_moments
+    sin_coef, cos_coef = _SIN_COS_FORM[l]
+    total = sum(c * moments[m + s].imag for m, c in sin_coef.items())
+    total += sum(c * moments[m + s].real for m, c in cos_coef.items())
+    return float(total)
+
+
 def radial_reference(weight_power: float, l: int, k: float, lambda0: float) -> float:
-    """Independent evaluation of the radial integral via sine/cosine integrals.
+    """Evaluation of the radial integral via sine/cosine integrals, one order.
 
     Expands j_l into sin and cos terms and reduces every piece to Si and Ci
-    with an exact integration-by-parts recurrence. Structurally unrelated to
-    the panel quadrature, which makes it the second scheme for validating
-    the orders whose closed form is degenerate. Accurate for k*lambda0
-    above roughly 0.1 (smaller arguments lose digits to cancellation).
+    with an exact integration-by-parts recurrence: the production scheme for
+    l = 0 at every a = k*lambda0 and for every order at a >= 2. Structurally
+    unrelated to the panel quadrature, which makes it the second scheme for
+    validating the orders whose closed form is degenerate. Loses digits to
+    cancellation at small a for l >= 1 (l = 1: 4e-11 relative at a = 1e-3;
+    l = 3: 1e-2).
     """
     if weight_power not in WEIGHT_POWERS:
         raise ValueError(f"weight_power must be one of {WEIGHT_POWERS}, got {weight_power}")
@@ -228,34 +315,24 @@ def radial_reference(weight_power: float, l: int, k: float, lambda0: float) -> f
     if k <= 0 or lambda0 <= 0:
         raise ValueError(f"k and lambda0 must be positive, got k={k}, lambda0={lambda0}")
     s = 1 if weight_power == -1.5 else 2
-    a = k * lambda0
-    si_a, ci_a = sici(a)
-    max_power = max(_SIN_COS_FORM[l][0], default=0)
-    max_power = max(max_power, max(_SIN_COS_FORM[l][1], default=0)) + s
-    # E_sin[m] = integral_a^inf sin(x)/x^m dx, E_cos likewise, by upward recurrence
-    e_sin = {1: math.pi / 2.0 - si_a}
-    e_cos = {1: -ci_a}
-    sin_a, cos_a = math.sin(a), math.cos(a)
-    for m in range(2, max_power + 1):
-        e_sin[m] = sin_a / ((m - 1) * a ** (m - 1)) + e_cos[m - 1] / (m - 1)
-        e_cos[m] = cos_a / ((m - 1) * a ** (m - 1)) - e_sin[m - 1] / (m - 1)
-    sin_coef, cos_coef = _SIN_COS_FORM[l]
-    total = sum(c * e_sin[m + s] for m, c in sin_coef.items())
-    total += sum(c * e_cos[m + s] for m, c in cos_coef.items())
-    return float(total) * k ** (s - 1)
+    moments = _sin_cos_moments(k * lambda0, l + s + 1)
+    return _sin_cos_integral(l, s, moments) * k ** (s - 1)
 
 
 def _rho_values(k: float, lambda0: float) -> tuple[dict, dict]:
-    rho_a = {0: radial_quadrature(-1.5, 0, k, lambda0)}
-    rho_b = {1: radial_quadrature(-2.5, 1, k, lambda0) / k}
-    try:
-        rho_a[2] = radial_A_closed(2, k, lambda0)
-    except (DegenerateClosedForm, ValueError):
-        rho_a[2] = radial_quadrature(-1.5, 2, k, lambda0)
-    try:
-        rho_b[3] = radial_B_closed(3, k, lambda0)
-    except (DegenerateClosedForm, ValueError):
-        rho_b[3] = radial_quadrature(-2.5, 3, k, lambda0) / k
+    a = _validate_kl(0, k, lambda0)
+    if a >= SICI_SWITCH_A:
+        moments = _sin_cos_moments(a, 6)
+        rho_a = {0: _sin_cos_integral(0, 1, moments), 2: _sin_cos_integral(2, 1, moments)}
+        rho_b = {1: _sin_cos_integral(1, 2, moments), 3: _sin_cos_integral(3, 2, moments)}
+        return rho_a, rho_b
+    rho_a0 = _sin_cos_integral(0, 1, _sin_cos_moments(a, 2))
+    rho_a = {0: rho_a0, 2: radial_A_closed(2, k, lambda0)}
+    # rho_B(1) = (rho_A(0) + j_1(a)/a) / 3 (differentiate both sides); the
+    # sine/cosine form of rho_B(1) would cancel like 1/a^2 here.
+    # j_1(a)/a = 0F1(; 5/2; -a^2/4) / 3, written as a 1F2 whose first parameters cancel.
+    j1_over_a = hyp1f2(1.0, 1.0, 2.5, -0.25 * a * a) / 3.0
+    rho_b = {1: (rho_a0 + j1_over_a) / 3.0, 3: radial_B_closed(3, k, lambda0)}
     return rho_a, rho_b
 
 
@@ -266,9 +343,11 @@ def radial_coefficients(kin: "ScatteringKinematics") -> RadialCoefficients:
     B(l, m) = i^l k Y_lm(khat) rho_B(l) for l in {1, 3},
 
     where k and khat are the magnitude and direction of the momentum
-    transfer. The l = 0 and l = 1 radial factors come from quadrature (their
-    closed forms are degenerate), the others from the closed form with a
-    quadrature fallback outside its domain.
+    transfer. With a = k * lambda0, every radial factor comes from the sine
+    and cosine integrals, except below a = 2 (SICI_SWITCH_A): there rho_A(2)
+    and rho_B(3) come from the 1F2 closed form and rho_B(1) from rho_A(0)
+    and j_1(a). Panel quadrature is never called; it is an oracle for tests
+    and selfcheck. a > 1e3 raises ValueError.
     """
     k = kin.q_mag
     lambda0 = kin.lambda0

@@ -139,6 +139,19 @@ def test_factorization_residual_small_for_nonresonant_pairs():
     assert factorization_residual(3, 4, kins) < 1e-9
 
 
+def test_factorization_residual_shares_one_radial_evaluation_bit_for_bit():
+    # the residual evaluates the radial factor once per kinematics and must
+    # equal the defect of the two public amplitudes exactly
+    for p, q in ((2, 3), (3, 4), (3, 2)):
+        kins = random_kinematics(np.random.default_rng(55), 1.3, 3.5, 4)
+        worst = 0.0
+        for kin in kins:
+            direct = born_amplitude(TorusKnot(p, q), kin).total
+            predicted = triad_amplitude(p, q, kin).total
+            worst = max(worst, abs(direct - predicted) / max(abs(direct), 1e-300))
+        assert factorization_residual(p, q, kins) == worst
+
+
 def test_factorization_breaks_on_resonant_pairs():
     # (3, 2) solves a*q = b*p with a <= 3, b <= 2, so rectified terms shift
     # its octopole moments off the circle triad; (1, 1) breaks at both orders
@@ -159,6 +172,22 @@ def test_bruteforce_oracle_matches_closed_form():
     closed = born_amplitude(TorusKnot(2, 3), kin).total
     direct = vni_bruteforce(TorusKnot(2, 3), kin, r_max=200.0)
     assert direct == pytest.approx(closed, rel=1e-8)
+
+
+#: vni_bruteforce(TorusKnot(2, 3), KIN_K8, r_max=200.0), frozen because it takes
+#: ~170 s; recompute with
+#:   PYTHONPATH=src python -c "import knotscatter as ks; print(ks.vni_bruteforce(ks.TorusKnot(2, 3),
+#:   ks.ScatteringKinematics.from_angles(8.0, 0.4, 1.1, 2.0, -0.6), r_max=200.0))"
+BRUTEFORCE_K8 = -0.04962321864402534 + 1.942399138630706e-17j
+KIN_K8 = ScatteringKinematics.from_angles(8.0, 0.4, 1.1, 2.0, -0.6)
+
+
+def test_large_transfer_amplitude_matches_frozen_bruteforce():
+    # a = |q| lambda0 ~ 47 lies past CLOSED_FORM_MAX_A: summed there, the 1F2
+    # series cancels to a total of ~175.76
+    assert KIN_K8.q_mag * KIN_K8.lambda0 == pytest.approx(47.33, abs=0.01)
+    total = born_amplitude(TorusKnot(2, 3), KIN_K8).total
+    assert total == pytest.approx(BRUTEFORCE_K8, rel=1e-8)
 
 
 def test_bruteforce_with_exact_field_integrand():

@@ -4,10 +4,17 @@ DEGENERATE_ANCHORS holds the half-line integrals of j_0(x)/x and j_1(x)/x^2
 from a lower limit a, evaluated independently with 50-digit mpmath quadrature
 and frozen. The degenerate orders have no closed form here, so the package
 must reproduce these values with both of its quadrature schemes.
+
+The production scheme (radial._rho_values) is checked against an mpmath
+sine/cosine-integral evaluation over the whole accepted range of a.
 """
 
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +31,7 @@ from knotscatter import (
     radial_quadrature,
     radial_reference,
 )
+from knotscatter.radial import CLOSED_FORM_MAX_A, _rho_values
 from knotscatter.specfun import spherical_harmonic
 
 LAMBDA0 = 3.5
@@ -174,3 +182,126 @@ def test_closed_form_tracks_quadrature_everywhere(a):
     assert radial_A_closed(2, k, LAMBDA0) == pytest.approx(
         radial_quadrature(-1.5, 2, k, LAMBDA0), rel=1e-7, abs=1e-10
     )
+
+
+# j_l(x) = sum_m S[m] sin(x) / x^m + sum_m C[m] cos(x) / x^m   (DLMF 10.49)
+_MP_SIN_COS = {
+    0: ({1: 1}, {}),
+    1: ({2: 1}, {1: -1}),
+    2: ({3: 3, 1: -1}, {2: -3}),
+    3: ({4: 15, 2: -6}, {3: -15, 1: 1}),
+}
+
+
+def _mp_rho(l, s, a):
+    """integral_a^inf j_l(x) / x^s dx from Si and Ci in mpmath.
+
+    The working precision grows with the cancellation at small a, so that
+    well over 16 digits survive the upward recurrence.
+    """
+    extra = max(0, math.ceil(-math.log10(a))) * (l + s + 2)
+    with mpmath.workdps(40 + extra):
+        x = mpmath.mpf(a)
+        e_sin = {1: mpmath.pi / 2 - mpmath.si(x)}
+        e_cos = {1: -mpmath.ci(x)}
+        for m in range(2, l + s + 2):
+            e_sin[m] = mpmath.sin(x) / ((m - 1) * x ** (m - 1)) + e_cos[m - 1] / (m - 1)
+            e_cos[m] = mpmath.cos(x) / ((m - 1) * x ** (m - 1)) - e_sin[m - 1] / (m - 1)
+        sin_coef, cos_coef = _MP_SIN_COS[l]
+        total = sum(c * e_sin[m + s] for m, c in sin_coef.items())
+        total += sum(c * e_cos[m + s] for m, c in cos_coef.items())
+        return float(total)
+
+
+def _production_rho(a):
+    """(l, s) -> production value at k * LAMBDA0 and that argument."""
+    k = a / LAMBDA0
+    rho_a, rho_b = _rho_values(k, LAMBDA0)
+    return {(0, 1): rho_a[0], (2, 1): rho_a[2], (1, 2): rho_b[1], (3, 2): rho_b[3]}, k * LAMBDA0
+
+
+def test_production_rho_matches_mpmath_over_the_accepted_range():
+    # rho oscillates through zeros for a > 1, where plain relative error is
+    # unbounded for any double-precision scheme: there the scale is the tail
+    # envelope a^-(s+1) whenever that exceeds |rho|.
+    worst = {}
+    for a in np.geomspace(1e-3, 1e3, 201):
+        values, a_used = _production_rho(float(a))
+        for (l, s), got in values.items():
+            want = _mp_rho(l, s, a_used)
+            scale = abs(want) if a_used < 1.0 else max(abs(want), a_used ** -(s + 1))
+            worst[l, s] = max(worst.get((l, s), 0.0), abs(got - want) / scale)
+    assert max(worst.values()) <= 1e-10, worst
+
+
+@pytest.mark.parametrize("a", [1e-8, 1e-6, 1e-4])
+def test_production_rho_below_the_grid_keeps_full_relative_accuracy(a):
+    # the sine/cosine form of rho_B(1) alone would cancel like 1/a^2 here
+    values, a_used = _production_rho(a)
+    for (l, s), got in values.items():
+        assert got == pytest.approx(_mp_rho(l, s, a_used), rel=1e-10)
+
+
+def test_production_rho_keeps_full_precision_in_the_asymptotic_range():
+    # upward recurrence from Si and Ci would amplify the rounding of Ci(a) by
+    # ~a^2 in rho_B(1) (1.5e-10 at a = 963); the asymptotic series does not
+    for a in np.geomspace(60.0, 1e3, 101):
+        values, a_used = _production_rho(float(a))
+        for (l, s), got in values.items():
+            want = _mp_rho(l, s, a_used)
+            assert abs(got - want) <= 1e-13 * max(abs(want), a_used ** -(s + 1))
+
+
+@pytest.mark.parametrize("a", [1.999, 2.0, 59.99, 60.0])
+def test_production_rho_is_continuous_across_its_scheme_switches(a):
+    values, a_used = _production_rho(a)
+    for (l, s), got in values.items():
+        want = _mp_rho(l, s, a_used)
+        assert abs(got - want) <= 1e-12 * max(abs(want), a_used ** -(s + 1))
+
+
+def test_production_rho_refuses_beyond_the_accepted_range():
+    with pytest.raises(ValueError):
+        _rho_values(1000.5 / LAMBDA0, LAMBDA0)
+    kin = ScatteringKinematics.from_angles(200.0, 0.4, 1.1, 2.0, -0.6, LAMBDA0)
+    assert kin.q_mag * LAMBDA0 > 1e3
+    with pytest.raises(ValueError):
+        radial_coefficients(kin)
+
+
+@pytest.mark.parametrize("a", [20.0, 40.0])
+def test_closed_forms_refuse_where_the_series_cancels(a):
+    k = a / LAMBDA0
+    with pytest.raises(ValueError):
+        radial_A_closed(2, k, LAMBDA0)
+    with pytest.raises(ValueError):
+        radial_B_closed(3, k, LAMBDA0)
+
+
+@pytest.mark.parametrize("l,s", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+def test_closed_forms_hold_up_to_their_limit(l, s):
+    closed = radial_A_closed if s == 1 else radial_B_closed
+    for a in np.linspace(10.0, CLOSED_FORM_MAX_A, 26):
+        k = float(a) / LAMBDA0
+        want = _mp_rho(l, s, k * LAMBDA0)
+        assert abs(closed(l, k, LAMBDA0) - want) <= 1e-10 * max(abs(want), a ** -(s + 1))
+
+
+def test_amplitude_path_never_uses_panel_quadrature(monkeypatch):
+    import knotscatter.radial as radial
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("radial_quadrature reached from the amplitude path")
+
+    monkeypatch.setattr(radial, "radial_quadrature", forbidden)
+    for a in (1e-3, 0.5, 1.9, 2.0, 14.0, 47.0, 200.0, 999.0):
+        _rho_values(a / LAMBDA0, LAMBDA0)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # brentq is needed only by the panel-quadrature oracle, which imports it lazily
+    src = os.path.dirname(os.path.dirname(os.path.abspath(radial_quadrature.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, knotscatter; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
