@@ -12,7 +12,8 @@ radius 3:
 
 Arbitrary closed curves enter as ``SampledCurve``, an ordered list of points
 interpolated trigonometrically, so every operation here retains spectral
-accuracy for smooth data.
+accuracy for smooth data. ``sample_curve`` resamples it by a folded inverse
+FFT, exact to round-off; octopole moments still alias below ~3n/2 samples.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class KnotSpec:
 
     def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def _eval_grid(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # _eval_arrays on the full-period grid tau_j = 2*pi*j/len(tau)
+        return self._eval_arrays(tau)
 
     def label(self) -> str:
         return type(self).__name__
@@ -153,6 +158,11 @@ class SampledCurve(KnotSpec):
     def __post_init__(self) -> None:
         if len(self.points) < 8:
             raise ValueError(f"sampled curve needs at least 8 points, got {len(self.points)}")
+        # every cache lookup hashes the spec; hash the point tuple once
+        object.__setattr__(self, "_hash", hash(self.points))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_array(cls, points: Sequence[Sequence[float]]) -> "SampledCurve":
@@ -184,6 +194,17 @@ class SampledCurve(KnotSpec):
         der = np.real(phases @ (1j * freq[:, None] * coef))
         return pos, der
 
+    def _eval_grid(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # On tau_j = 2*pi*j/m, exp(i f tau_j) depends on f only through f mod m:
+        # the spectrum folded onto m bins and one inverse FFT give the direct
+        # sum of _eval_arrays for any m, aliasing included when m < n.
+        freq, coef = _sampled_spectrum(self)
+        m = len(tau)
+        folded = np.zeros((m, 6), dtype=complex)
+        np.add.at(folded, np.rint(freq).astype(int) % m, np.hstack([coef, 1j * freq[:, None] * coef]))
+        values = np.fft.ifft(folded, axis=0).real * m
+        return values[:, :3], values[:, 3:]
+
     def label(self) -> str:
         return f"sampled[{len(self.points)}]"
 
@@ -209,12 +230,14 @@ def sample_curve(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> tuple[np.n
     """Equally spaced samples (tau, positions, derivatives) of the curve.
 
     The grid tau_j = 2*pi*j/n underlies every periodic trapezoidal integral,
-    so the result is cached per (spec, n_samples).
+    so the result is cached per (spec, n_samples). An N-point SampledCurve is
+    resampled by one folded inverse FFT, exact to round-off; as with direct
+    evaluation, its moments alias for n below ~3N/2 (octopole) or ~N (quadrupole).
     """
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")
     tau = np.arange(n_samples) * (TWO_PI / n_samples)
-    pos, der = spec._eval_arrays(tau)
+    pos, der = spec._eval_grid(tau)
     for arr in (tau, pos, der):
         arr.flags.writeable = False
     return tau, pos, der

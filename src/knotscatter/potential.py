@@ -91,18 +91,25 @@ def _biot_savart_batch(
 ) -> np.ndarray:
     """Exact line-integral potential at each row of points, shape (n, 3)."""
     _, pos, der = sample_curve(spec, n_samples)
+    (px, py, pz), (tx, ty, tz) = pos.T, der.T
     out = np.empty_like(points, dtype=float)
     # chunk the pairwise (points x curve samples) arrays to bound memory
     chunk = max(1, int(2e6 / n_samples))
     for start in range(0, len(points), chunk):
         block = points[start : start + chunk]
-        sep = block[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(sep, axis=2)
+        sx = block[:, 0, None] - px
+        sy = block[:, 1, None] - py
+        sz = block[:, 2, None] - pz
+        d2 = sx * sx + sy * sy + sz * sz
+        dist = np.sqrt(d2)
         if dist.min() <= MIN_CURVE_DISTANCE:
             raise ValueError("field point lies on (or too close to) the curve")
-        integrand = np.cross(np.broadcast_to(der, sep.shape), sep) / dist[:, :, None] ** 3
-        out[start : start + chunk] = integrand.mean(axis=1) * TWO_PI
-    return out * prefactor
+        weight = 1.0 / (d2 * dist)
+        # t x sep, component by component
+        out[start : start + chunk, 0] = ((ty * sz - tz * sy) * weight).mean(axis=1)
+        out[start : start + chunk, 1] = ((tz * sx - tx * sz) * weight).mean(axis=1)
+        out[start : start + chunk, 2] = ((tx * sy - ty * sx) * weight).mean(axis=1)
+    return out * TWO_PI * prefactor
 
 
 def biot_savart_dipole_line(
@@ -128,22 +135,16 @@ def _multipole_components(
     """Multipole potential at radii r (n,) and unit directions dirs (n, 3)."""
     if order not in ("quadrupole", "octopole"):
         raise ValueError(f"order must be 'quadrupole' or 'octopole', got {order!r}")
-    Q, trace = quad.Q_tensor, quad.Q_trace
-    out = np.zeros_like(dirs, dtype=float)
-    inv_r3 = 1.0 / r**3
-    for i in range(3):
-        quad_sum = sum(Q[i, j, k] * dirs[:, j] * dirs[:, k] for j, k in SORTED_PAIRS)
-        out[:, i] = (3.0 * quad_sum + trace[i]) * inv_r3
+    # unordered sums as monomial columns (n, 6) and (n, 10) times the matching tensor entries
+    J, K = np.array(SORTED_PAIRS).T
+    inv_r3 = (1.0 / r**3)[:, None]
+    quad_sum = (dirs[:, J] * dirs[:, K]) @ quad.Q_tensor[:, J, K].T
+    out = (3.0 * quad_sum + quad.Q_trace) * inv_r3
     if order == "octopole":
-        O, contracted = octo.O_tensor, octo.O_contracted
-        inv_r4 = inv_r3 / r
-        for i in range(3):
-            octo_sum = sum(
-                O[i, j, k, l] * dirs[:, j] * dirs[:, k] * dirs[:, l]
-                for j, k, l in SORTED_TRIPLES
-            )
-            linear = contracted[i] @ dirs.T
-            out[:, i] += (7.5 * octo_sum - 1.5 * linear) * inv_r4
+        J, K, L = np.array(SORTED_TRIPLES).T
+        octo_sum = (dirs[:, J] * dirs[:, K] * dirs[:, L]) @ octo.O_tensor[:, J, K, L].T
+        linear = dirs @ octo.O_contracted.T
+        out += (7.5 * octo_sum - 1.5 * linear) * (inv_r3 / r[:, None])
     return out
 
 

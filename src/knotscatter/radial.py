@@ -163,20 +163,23 @@ def _bessel_zeros_from(l: int, start: float, count: int) -> list[float]:
 
     zeros: list[float] = []
     x = max(start, 1e-9)
-    f_prev = spherical_jn(l, x)
     step = 0.4
-    while len(zeros) < count:
-        x_next = x + step
-        f_next = spherical_jn(l, x_next)
-        if f_prev == 0.0:
-            zeros.append(x)
-            x, f_prev = x_next, f_next
-            continue
-        if f_prev * f_next < 0.0:
-            z = brentq(lambda t: spherical_jn(l, t), x, x_next, xtol=1e-13, rtol=1e-15)
-            zeros.append(z)
-        x, f_prev = x_next, f_next
-    return zeros
+    block = 8 * count + 8  # ~8 steps per zero
+    while True:
+        # one spherical_jn call per block; the cumulative sum adds step by
+        # step, so the grid is the one a scalar march x += step would visit
+        xs = np.cumsum(np.concatenate(([x], np.full(block, step))))
+        fs = spherical_jn(l, xs)
+        for i in range(block):
+            if len(zeros) == count:
+                return zeros
+            if fs[i] == 0.0:
+                zeros.append(float(xs[i]))
+            elif fs[i] * fs[i + 1] < 0.0:
+                zeros.append(
+                    brentq(lambda t: spherical_jn(l, t), xs[i], xs[i + 1], xtol=1e-13, rtol=1e-15)
+                )
+        x = float(xs[-1])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

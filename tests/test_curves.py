@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from knotscatter import (
     sampled_from_spec,
 )
 from knotscatter.curves import sample_curve
+from knotscatter.multipole import quadrupole_moments
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,3 +155,36 @@ def test_validation_errors():
         min_enclosing_radius(UnknotXY(), 32)
     with pytest.raises(ValueError):
         sampled_from_json({"vertices": []})
+
+
+def _noisy_sampled_knot(n_points, seed=0):
+    tau = np.arange(n_points) * (TWO_PI / n_points)
+    pos, _ = TorusKnot(3, 4)._eval_arrays(tau)
+    return SampledCurve.from_array(pos + 0.05 * np.random.default_rng(seed).normal(size=pos.shape))
+
+
+@pytest.mark.parametrize("n_points", [8, 9, 33, 64, 683, 1024, 1500])
+def test_fft_grid_matches_the_direct_trigonometric_sum(n_points):
+    # on the sample grid the folded inverse FFT must equal the dense sum of
+    # _eval_arrays, also below n_points samples, where frequencies alias
+    curve = _noisy_sampled_knot(n_points)
+    for n_samples in sorted({8, 64, n_points, n_points + 1, 1024, 2048}):
+        tau = np.arange(n_samples) * (TWO_PI / n_samples)
+        want_pos, want_der = curve._eval_arrays(tau)
+        got_tau, got_pos, got_der = sample_curve(curve, n_samples)
+        np.testing.assert_array_equal(got_tau, tau)
+        for got, want in ((got_pos, want_pos), (got_der, want_der)):
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def test_sampled_curve_hash_is_stable_and_cached():
+    points = _noisy_sampled_knot(96).points
+    curve, twin = SampledCurve(points), SampledCurve(tuple(map(tuple, points)))
+    assert curve == twin and hash(curve) == hash(twin) == hash(points)
+    restored = pickle.loads(pickle.dumps(curve))
+    assert restored == curve and hash(restored) == hash(curve)
+
+    quadrupole_moments(curve)
+    hits = quadrupole_moments.cache_info().hits
+    assert quadrupole_moments(twin) is quadrupole_moments(curve)
+    assert quadrupole_moments.cache_info().hits == hits + 2

@@ -11,6 +11,8 @@ from knotscatter import (
     SampledCurve,
     TorusKnot,
     UnknotXY,
+    UnknotXZ,
+    UnknotYZ,
     biot_savart_dipole_line,
     divergence_multipole,
     multipole_potential,
@@ -18,6 +20,9 @@ from knotscatter import (
     quadrupole_moments,
     sampled_from_spec,
 )
+from knotscatter.curves import sample_curve
+from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
+from knotscatter.potential import MIN_CURVE_DISTANCE, _biot_savart_batch, _multipole_components
 
 
 def _fit_slope(radii, gaps):
@@ -120,6 +125,95 @@ def test_multipole_order_scaling():
     o_near = multipole_potential(quad, octo, near).vector - q_near
     o_far = multipole_potential(quad, octo, far).vector - q_far
     np.testing.assert_allclose(o_far, o_near / 16.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [UnknotXZ(), UnknotYZ()], ids=lambda s: s.label())
+def test_multipole_order_scaling_with_a_nonzero_octopole(spec):
+    # the octopole part of every torus knot is round-off (<= 3e-14 at r = 1
+    # against a quadrupole part of ~30), so the torus test above cannot see a
+    # wrong 1/r^4 term; these unknots have an octopole part of ~13 at r = 1
+    quad = quadrupole_moments(spec)
+    octo = octopole_moments(spec)
+    direction = np.array([0.36, -0.48, 0.8])
+    unit = FieldPoint.from_cartesian(*direction)
+    octopole_part = multipole_potential(quad, octo, unit).vector
+    octopole_part -= multipole_potential(quad, octo, unit, order="quadrupole").vector
+    assert np.abs(octopole_part).max() > 10.0
+    near = FieldPoint.from_cartesian(*(50.0 * direction))
+    far = FieldPoint.from_cartesian(*(100.0 * direction))
+    q_near = multipole_potential(quad, octo, near, order="quadrupole").vector
+    q_far = multipole_potential(quad, octo, far, order="quadrupole").vector
+    np.testing.assert_allclose(q_far, q_near / 8.0, rtol=1e-12)
+    o_near = multipole_potential(quad, octo, near).vector - q_near
+    o_far = multipole_potential(quad, octo, far).vector - q_far
+    np.testing.assert_allclose(o_far, o_near / 16.0, rtol=1e-12)
+
+
+def _cross_product_potential(spec, points, n_samples):
+    _, pos, der = sample_curve(spec, n_samples)
+    out = []
+    for x in points:
+        sep = x - pos
+        dist = np.sqrt((sep**2).sum(axis=1))
+        out.append(np.cross(der, sep).T @ (1.0 / dist**3) / n_samples * 2.0 * math.pi)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n_points", [1, 700])
+def test_biot_savart_kernel_matches_a_cross_product_sum(n_points):
+    # 700 points at 4096 samples span two chunks of the batch kernel
+    spec = sampled_from_spec(TorusKnot(3, 4), 96)
+    rng = np.random.default_rng(5)
+    directions = rng.normal(size=(n_points, 3))
+    points = rng.uniform(4.0, 40.0, (n_points, 1)) * directions / np.linalg.norm(directions, axis=1)[:, None]
+    got = _biot_savart_batch(spec, points, 4096, 1.0)
+    want = _cross_product_potential(spec, points, 4096)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_biot_savart_refusal_boundary():
+    # the tau = 0 sample of the unknot sits at (3, 0, 0)
+    inside = FieldPoint.from_cartesian(3.0 + 0.5 * MIN_CURVE_DISTANCE, 0.0, 0.0)
+    outside = FieldPoint.from_cartesian(3.0 + 2.0 * MIN_CURVE_DISTANCE, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        biot_savart_dipole_line(UnknotXY(), inside)
+    assert np.isfinite(biot_savart_dipole_line(UnknotXY(), outside).vector).all()
+
+
+def _loop_multipole(quad, octo, r, dirs, order):
+    # per-component sums over the unordered index tuples, as in the module docstring
+    Q, O = quad.Q_tensor, octo.O_tensor
+    out = np.zeros((len(r), 3))
+    for i in range(3):
+        quad_sum = sum(Q[i, j, k] * dirs[:, j] * dirs[:, k] for j, k in SORTED_PAIRS)
+        out[:, i] = (3.0 * quad_sum + quad.Q_trace[i]) / r**3
+        if order == "octopole":
+            octo_sum = sum(
+                O[i, j, k, l] * dirs[:, j] * dirs[:, k] * dirs[:, l] for j, k, l in SORTED_TRIPLES
+            )
+            linear = sum(octo.O_contracted[i, p] * dirs[:, p] for p in range(3))
+            out[:, i] += (7.5 * octo_sum - 1.5 * linear) / r**4
+    return out
+
+
+@pytest.mark.parametrize("n_dirs", [1, 5000])
+@pytest.mark.parametrize("order", ["quadrupole", "octopole"])
+def test_multipole_assembly_matches_a_per_component_loop(n_dirs, order):
+    spec = sampled_from_spec(TorusKnot(3, 4), 64)
+    spec = SampledCurve.from_array(
+        np.asarray(spec.points) + 0.05 * np.random.default_rng(2).normal(size=(64, 3))
+    )
+    quad = quadrupole_moments(spec)
+    octo = octopole_moments(spec)
+    rng = np.random.default_rng(n_dirs)
+    dirs = rng.normal(size=(n_dirs, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = rng.uniform(1.0, 3.0, n_dirs)  # keeps both orders at comparable size
+    got = _multipole_components(quad, octo, r, dirs, order)
+    want = _loop_multipole(quad, octo, r, dirs, order)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        _multipole_components(quad, octo, r, dirs, "hexadecapole")
 
 
 def test_no_dipole_term_in_the_exact_field():

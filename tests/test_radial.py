@@ -31,7 +31,7 @@ from knotscatter import (
     radial_quadrature,
     radial_reference,
 )
-from knotscatter.radial import CLOSED_FORM_MAX_A, _rho_values
+from knotscatter.radial import CLOSED_FORM_MAX_A, _bessel_zeros_from, _rho_values
 from knotscatter.specfun import spherical_harmonic
 
 LAMBDA0 = 3.5
@@ -305,3 +305,28 @@ def test_import_does_not_load_scipy_optimize():
     code = "import sys, knotscatter; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _scalar_zero_march(l, start, count):
+    # frozen copy of the one-point-at-a-time march the block version replaced
+    from scipy.optimize import brentq
+
+    zeros = []
+    x = max(start, 1e-9)
+    f_prev = spherical_jn(l, x)
+    while len(zeros) < count:
+        x_next = x + 0.4
+        f_next = spherical_jn(l, x_next)
+        if f_prev == 0.0:
+            zeros.append(x)
+        elif f_prev * f_next < 0.0:
+            zeros.append(brentq(lambda t: spherical_jn(l, t), x, x_next, xtol=1e-13, rtol=1e-15))
+        x, f_prev = x_next, f_next
+    return zeros
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+@pytest.mark.parametrize("start", [0.0, 0.05, 1.75, 37.3])
+def test_bessel_zero_march_equals_the_scalar_march(l, start):
+    for count in (1, 48):
+        assert _bessel_zeros_from(l, start, count) == _scalar_zero_march(l, start, count)
