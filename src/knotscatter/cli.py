@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt_default):
         p.add_argument("--lambda0", type=float, default=3.5, help="cutoff sphere radius (default 3.5)")
         p.add_argument("--coupling", type=float, default=1.0, help="coupling prefactor g (default 1.0)")
-        p.add_argument("--samples", type=int, default=1024, help="curve quadrature samples (default 1024)")
+        help_samples = "curve samples: moment-grid floor, Biot-Savart count (default 1024; potential 2048)"
+        p.add_argument("--samples", type=int, default=1024, help=help_samples)
         p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 

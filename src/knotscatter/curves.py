@@ -13,7 +13,8 @@ radius 3:
 Arbitrary closed curves enter as ``SampledCurve``, an ordered list of points
 interpolated trigonometrically, so every operation here retains spectral
 accuracy for smooth data. ``sample_curve`` resamples it by a folded inverse
-FFT, exact to round-off; octopole moments still alias below ~3n/2 samples.
+FFT, exact to round-off. Every curve is a trigonometric polynomial of known
+``bandwidth``, and ``moment_samples`` gives the grid that makes moments exact.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ class CurvePoint:
 class KnotSpec:
     """Base class for closed-curve descriptions.
 
-    Subclasses implement :meth:`_eval_arrays`, mapping an array of parameter
-    values to stacked positions and derivatives. Instances are immutable and
-    hashable, which lets expensive derived quantities (moments, samples) be
-    cached per spec.
+    Subclasses set ``bandwidth`` and implement :meth:`_eval_arrays`, mapping an
+    array of parameter values to stacked positions and derivatives. Instances
+    are immutable and hashable, which lets expensive derived quantities
+    (moments, samples) be cached per spec.
     """
+
+    #: Highest frequency of r'(tau) as a trigonometric polynomial.
+    bandwidth: int
 
     def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -91,6 +95,10 @@ class TorusKnot(KnotSpec):
         )
         return pos, der
 
+    @property
+    def bandwidth(self) -> int:
+        return self.p + self.q
+
     def label(self) -> str:
         return f"torus:{self.p},{self.q}"
 
@@ -106,6 +114,8 @@ class UnknotXY(KnotSpec):
             np.stack([3.0 * c, 3.0 * s, zero], axis=-1),
             np.stack([-3.0 * s, 3.0 * c, zero], axis=-1),
         )
+
+    bandwidth = 1
 
     def label(self) -> str:
         return "unknot-xy"
@@ -123,6 +133,8 @@ class UnknotXZ(KnotSpec):
             np.stack([-s, zero, c], axis=-1),
         )
 
+    bandwidth = 1
+
     def label(self) -> str:
         return "unknot-xz"
 
@@ -138,6 +150,8 @@ class UnknotYZ(KnotSpec):
             np.stack([zero, 2.0 + c, s], axis=-1),
             np.stack([zero, -s, c], axis=-1),
         )
+
+    bandwidth = 1
 
     def label(self) -> str:
         return "unknot-yz"
@@ -205,6 +219,10 @@ class SampledCurve(KnotSpec):
         values = np.fft.ifft(folded, axis=0).real * m
         return values[:, :3], values[:, 3:]
 
+    @property
+    def bandwidth(self) -> int:  # an even n splits its Nyquist mode between +-n/2
+        return len(self.points) // 2
+
     def label(self) -> str:
         return f"sampled[{len(self.points)}]"
 
@@ -231,8 +249,7 @@ def sample_curve(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> tuple[np.n
 
     The grid tau_j = 2*pi*j/n underlies every periodic trapezoidal integral,
     so the result is cached per (spec, n_samples). An N-point SampledCurve is
-    resampled by one folded inverse FFT, exact to round-off; as with direct
-    evaluation, its moments alias for n below ~3N/2 (octopole) or ~N (quadrupole).
+    resampled by one folded inverse FFT, exact to round-off.
     """
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")
@@ -241,6 +258,15 @@ def sample_curve(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> tuple[np.n
     for arr in (tau, pos, der):
         arr.flags.writeable = False
     return tau, pos, der
+
+
+def moment_samples(spec: KnotSpec) -> int:
+    """Smallest power of two (at least 8) above 3 * spec.bandwidth.
+
+    The trapezoid rule on this grid integrates the octopole integrand r r t,
+    of bandwidth 3B, exactly; powers of two keep the FFT fast.
+    """
+    return max(8, 1 << (3 * spec.bandwidth).bit_length())
 
 
 def curve_integral(

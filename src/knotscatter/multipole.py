@@ -11,17 +11,21 @@ carried by two families of line-integral moments:
 
 All sums over repeated indices are written out explicitly; no implicit
 summation convention is used anywhere in this module.
+
+Each moment is a periodic trapezoid mean on max(n_samples, moment_samples(spec))
+points: n_samples is a floor, and the bandwidth grid of moment_samples makes
+every moment exact to round-off, so the default floor is the minimum of 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
-from .curves import DEFAULT_SAMPLES, KnotSpec, TWO_PI, sample_curve
+from .curves import KnotSpec, TWO_PI, moment_samples, sample_curve
 
 #: Levi-Civita symbol, EPS[a, b, c] = +1/-1 for even/odd permutations.
 EPS = np.zeros((3, 3, 3))
@@ -33,6 +37,16 @@ EPS.flags.writeable = False
 SORTED_TRIPLES = tuple(combinations_with_replacement(range(3), 3))
 #: Independent lower-index pairs, sorted j <= k.
 SORTED_PAIRS = tuple(combinations_with_replacement(range(3), 2))
+#: Index arrays J, K of SORTED_PAIRS and J, K, L of SORTED_TRIPLES.
+PAIR_COLUMNS = np.array(SORTED_PAIRS).T
+TRIPLE_COLUMNS = np.array(SORTED_TRIPLES).T
+
+# Every ordered lower triple (a, b, c) reads the entry of its sorted triple, and
+# the weight 1/3, 1 or 2 (for 1, 2 or 3 distinct values) turns the sum over the
+# three slots of the cross product into the sum over distinct arrangements.
+_ORDERED = tuple(product(range(3), repeat=3))
+_SORTED_INDEX = (slice(None),) + tuple(np.array([sorted(t) for t in _ORDERED]).T.reshape(3, 3, 3, 3))
+_ARRANGEMENT_WEIGHT = np.array([(1.0 / 3.0, 1.0, 2.0)[len(set(t)) - 1] for t in _ORDERED]).reshape(3, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -77,16 +91,24 @@ def _quadrupole_entry(i: int, j: int, k: int, K: np.ndarray) -> float:
     )
 
 
+def _moment_grid(spec: KnotSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    # positions and derivatives on the exact moment grid, or on n_samples if larger
+    if n_samples < 8:
+        raise ValueError(f"need at least 8 samples, got {n_samples}")
+    _, pos, der = sample_curve(spec, max(n_samples, moment_samples(spec)))
+    return pos, der
+
+
 @lru_cache(maxsize=256)
-def quadrupole_moments(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> QuadrupoleMoments:
-    """Quadrupole moments of a curve.
+def quadrupole_moments(spec: KnotSpec, n_samples: int = 8) -> QuadrupoleMoments:
+    """Quadrupole moments of a curve, on at least n_samples points.
 
     K^1 = loop integral of z' dy'/dtau,
     K^2 = loop integral of x' dz'/dtau,
     K^3 = loop integral of y' dx'/dtau,
     with the tensor and trace parts assembled from the case rule.
     """
-    _, pos, der = sample_curve(spec, n_samples)
+    pos, der = _moment_grid(spec, n_samples)
     x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
     dx, dy, dz = der[:, 0], der[:, 1], der[:, 2]
     K = np.array(
@@ -107,92 +129,36 @@ def quadrupole_moments(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> Quad
     return QuadrupoleMoments(K=K, Q_tensor=Q, Q_trace=trace)
 
 
-def _octopole_integrand(i: int, j: int, k: int, l: int, pos: np.ndarray, der: np.ndarray) -> np.ndarray:
-    """Rank-4 octopole integrand O^{r_i}_{R_j R_k R_l} on the sample grid.
-
-    Five-branch dispatch keyed on the coincidence pattern of the sorted lower
-    indices (j <= k <= l). Each branch is a short polynomial in the curve
-    position r and derivative t; the branches agree pointwise with the
-    expanded cross-product integrand
-
-        sum over distinct arrangements (b, c, d) of {j, k, l} of
-        (t x e_b)_i r_c r_d,
-
-    which the test suite uses as an independent oracle.
-    """
-    r = pos.T  # r[c] is the c-th coordinate over the grid
-    t = der.T
-    if j == k == l:
-        out = np.zeros(pos.shape[0])
-        for m in range(3):
-            out += EPS[j, i, m] * r[j] * r[j] * t[m]
-        return out
-    if j != k and k != l:  # all three distinct
-        out = np.zeros(pos.shape[0])
-        for m in range(3):
-            for n in range(3):
-                out += 2.0 * EPS[i, m, n] * r[i] * r[m] * t[m]
-        return out
-    rep = j if j == k else k  # the repeated lower index value
-    other = l if j == k else j
-    if i == rep:
-        d_kl = 1.0 if k == l else 0.0
-        d_jk = 1.0 if j == k else 0.0
-        out = np.zeros(pos.shape[0])
-        for m in range(3):
-            out += r[k] * r[k] * (d_kl * EPS[j, k, m] * t[m] - d_jk * EPS[j, l, m] * t[m])
-        return out
-    if i == other:
-        d_il = 1.0 if i == l else 0.0
-        d_ij = 1.0 if i == j else 0.0
-        out = np.zeros(pos.shape[0])
-        for m in range(3):
-            out += 2.0 * (
-                d_il * EPS[j, l, m] * r[j] * r[l] * t[m]
-                - d_ij * EPS[i, k, m] * r[i] * r[k] * t[m]
-            )
-        return out
-    # i absent from {j, k, l}
-    d_jk = 1.0 if j == k else 0.0
-    d_kl = 1.0 if k == l else 0.0
-    return d_jk * (EPS[k, l, i] * r[k] * r[k] * t[k] - 2.0 * EPS[i, k, l] * r[k] * r[l] * t[l]) + d_kl * (
-        2.0 * EPS[i, j, l] * r[j] * r[l] * t[j] - EPS[j, k, i] * r[k] * r[k] * t[k]
-    )
-
-
 @lru_cache(maxsize=256)
-def octopole_moments(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> OctopoleMoments:
-    """Integrated octopole tensor and contraction of a curve.
+def octopole_moments(spec: KnotSpec, n_samples: int = 8) -> OctopoleMoments:
+    """Integrated octopole tensor and contraction of a curve, on at least n_samples points.
 
-    Only the independent components (i; j <= k <= l) are integrated; total
-    symmetry in the lower indices fills in the rest, and the contraction
-    follows from O_contracted[i, p] = sum_m (1 + 2*delta_{pm}) O[i, p, m, m].
+    O[i, j, k, l] is the loop integral of the sum over the distinct
+    arrangements (b, c, d) of {j, k, l} of (t x e_b)_i r_c r_d. One matmul
+    gives X[m, c, d] = loop integral of t_m r_c r_d, the Levi-Civita symbol
+    turns it into Y[i, b, c, d] = loop integral of (t x e_b)_i r_c r_d, and
+    the contraction follows from O_contracted[i, p] = sum_m (1 + 2*delta_{pm}) O[i, p, m, m].
     """
-    _, pos, der = sample_curve(spec, n_samples)
-    O = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j, k, l in SORTED_TRIPLES:
-            value = _octopole_integrand(i, j, k, l, pos, der).mean() * TWO_PI
-            for a, b, c in set(permutations((j, k, l))):
-                O[i, a, b, c] = value
-    contracted = np.zeros((3, 3))
-    for i in range(3):
-        for p in range(3):
-            contracted[i, p] = sum(
-                (1.0 + 2.0 * (1.0 if p == m else 0.0)) * O[i, p, m, m] for m in range(3)
-            )
+    pos, der = _moment_grid(spec, n_samples)
+    J, K = PAIR_COLUMNS
+    X = np.empty((3, 3, 3))
+    X[:, J, K] = X[:, K, J] = der.T @ (pos[:, J] * pos[:, K]) * (TWO_PI / len(pos))
+    Y = np.einsum("imb,mcd->ibcd", EPS, X)
+    O = (Y + Y.transpose(0, 2, 1, 3) + Y.transpose(0, 2, 3, 1))[_SORTED_INDEX]
+    O *= _ARRANGEMENT_WEIGHT
+    contracted = np.einsum("ipmm,pm->ip", O, 1.0 + 2.0 * np.eye(3))
     O.flags.writeable = False
     contracted.flags.writeable = False
     return OctopoleMoments(O_tensor=O, O_contracted=contracted)
 
 
-def dipole_moment(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Total dipole moment, the loop integral of dr'/dtau.
+def dipole_moment(spec: KnotSpec, n_samples: int = 8) -> np.ndarray:
+    """Total dipole moment, the loop integral of dr'/dtau, on at least n_samples points.
 
     Identically zero for any closed curve; kept as an explicit check of
     closure rather than a trusted identity.
     """
-    _, _, der = sample_curve(spec, n_samples)
+    _, der = _moment_grid(spec, n_samples)
     return der.mean(axis=0) * TWO_PI
 
 

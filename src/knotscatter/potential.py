@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import TWO_PI, KnotSpec, sample_curve
-from .multipole import SORTED_PAIRS, SORTED_TRIPLES, OctopoleMoments, QuadrupoleMoments
+from .multipole import PAIR_COLUMNS, TRIPLE_COLUMNS, OctopoleMoments, QuadrupoleMoments
 
 #: Field points closer than this to the curve are rejected (integrand blows up).
 MIN_CURVE_DISTANCE = 1e-6
@@ -136,12 +136,12 @@ def _multipole_components(
     if order not in ("quadrupole", "octopole"):
         raise ValueError(f"order must be 'quadrupole' or 'octopole', got {order!r}")
     # unordered sums as monomial columns (n, 6) and (n, 10) times the matching tensor entries
-    J, K = np.array(SORTED_PAIRS).T
+    J, K = PAIR_COLUMNS
     inv_r3 = (1.0 / r**3)[:, None]
     quad_sum = (dirs[:, J] * dirs[:, K]) @ quad.Q_tensor[:, J, K].T
     out = (3.0 * quad_sum + quad.Q_trace) * inv_r3
     if order == "octopole":
-        J, K, L = np.array(SORTED_TRIPLES).T
+        J, K, L = TRIPLE_COLUMNS
         octo_sum = (dirs[:, J] * dirs[:, K] * dirs[:, L]) @ octo.O_tensor[:, J, K, L].T
         linear = dirs @ octo.O_contracted.T
         out += (7.5 * octo_sum - 1.5 * linear) * (inv_r3 / r[:, None])

@@ -21,7 +21,7 @@ from knotscatter import (
     sampled_from_json,
     sampled_from_spec,
 )
-from knotscatter.curves import sample_curve
+from knotscatter.curves import moment_samples, sample_curve
 from knotscatter.multipole import quadrupole_moments
 
 TWO_PI = 2.0 * math.pi
@@ -175,6 +175,28 @@ def test_fft_grid_matches_the_direct_trigonometric_sum(n_points):
         np.testing.assert_array_equal(got_tau, tau)
         for got, want in ((got_pos, want_pos), (got_der, want_der)):
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "spec", [TorusKnot(2, 3), TorusKnot(5, 3), UnknotXY(), UnknotXZ(), UnknotYZ()], ids=lambda s: s.label()
+)
+def test_preset_bandwidth_bounds_the_spectrum(spec):
+    _, pos, der = sample_curve(spec, 64)
+    spectrum = np.abs(np.fft.fft(np.hstack([pos, der]), axis=0))
+    freq = np.abs(np.fft.fftfreq(64, 1.0 / 64))
+    assert spectrum[freq == spec.bandwidth].max() > 0.1
+    assert spectrum[freq > spec.bandwidth].max() < 1e-12
+
+
+def test_moment_samples_is_the_power_of_two_above_three_bandwidths():
+    assert TorusKnot(2, 3).bandwidth == 5 and moment_samples(TorusKnot(2, 3)) == 16
+    assert moment_samples(TorusKnot(3, 4)) == 32
+    for unknot in (UnknotXY(), UnknotXZ(), UnknotYZ()):
+        assert unknot.bandwidth == 1 and moment_samples(unknot) == 8
+    # the split Nyquist bin of an even N sits at N/2; an odd N tops out at (N - 1)/2
+    for n_points, bandwidth, samples in [(1024, 512, 2048), (683, 341, 1024), (9, 4, 16), (1365, 682, 2048)]:
+        curve = _noisy_sampled_knot(n_points)
+        assert curve.bandwidth == bandwidth and moment_samples(curve) == samples
 
 
 def test_sampled_curve_hash_is_stable_and_cached():

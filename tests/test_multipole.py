@@ -1,9 +1,10 @@
 """Moment tensors cross-checked against an arrangement-sum oracle and frozen tables.
 
-The production octopole integrand dispatches on the coincidence pattern of the
-sorted lower indices. The oracle below instead expands the defining sum over
-every distinct ordered arrangement of the index multiset, so agreement means
-the branch algebra is right, not just self-consistent.
+The production octopole is assembled from one matmul and a symmetrisation of
+its index slots. The oracle below instead expands the defining sum over every
+distinct ordered arrangement of the index multiset, one np.cross integrand per
+arrangement, so agreement means the assembly is right, not just
+self-consistent.
 """
 
 import math
@@ -27,7 +28,7 @@ from knotscatter import (
     sampled_from_spec,
 )
 from knotscatter.curves import TWO_PI, sample_curve
-from knotscatter.multipole import SORTED_TRIPLES
+from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
 
 PI = math.pi
 
@@ -56,9 +57,40 @@ def oracle_contracted_entry(spec, i, p, n_samples=2048):
     return values.mean() * TWO_PI
 
 
+def oracle_quadrupole_entry(spec, i, j, k, n_samples):
+    """Arrangement-sum form of the quadrupole entry Q[i, j, k]."""
+    _, pos, der = sample_curve(spec, n_samples)
+    total = np.zeros(n_samples)
+    for b, c in set(permutations((j, k))):
+        total += np.cross(der, np.eye(3)[b])[:, i] * pos[:, c]
+    return total.mean() * TWO_PI
+
+
+def noisy_sampled_knot(n_points, seed=0):
+    """A (3, 4) torus knot sampled at n_points, with noise that fills its whole spectrum."""
+    tau = np.arange(n_points) * (TWO_PI / n_points)
+    pos, _ = TorusKnot(3, 4)._eval_arrays(tau)
+    return SampledCurve.from_array(pos + 0.05 * np.random.default_rng(seed).normal(size=pos.shape))
+
+
+def assert_octopole_matches_oracle(octo, spec, n_samples, rtol):
+    want = np.array([[oracle_octopole_entry(spec, i, *jkl, n_samples) for jkl in SORTED_TRIPLES] for i in range(3)])
+    got = np.array([[octo.O_tensor[(i,) + jkl] for jkl in SORTED_TRIPLES] for i in range(3)])
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+    want = np.array([[oracle_contracted_entry(spec, i, p, n_samples) for p in range(3)] for i in range(3)])
+    assert np.abs(octo.O_contracted - want).max() <= rtol * np.abs(want).max()
+
+
 @pytest.mark.parametrize(
     "spec",
-    [TorusKnot(2, 3), TorusKnot(3, 2), UnknotXZ(), UnknotYZ(), sampled_from_spec(TorusKnot(2, 3), 64)],
+    [
+        TorusKnot(2, 3),
+        TorusKnot(3, 2),
+        UnknotXZ(),
+        UnknotYZ(),
+        sampled_from_spec(TorusKnot(2, 3), 64),
+        noisy_sampled_knot(900),
+    ],
     ids=lambda s: s.label(),
 )
 def test_octopole_tensor_matches_arrangement_oracle(spec):
@@ -70,6 +102,68 @@ def test_octopole_tensor_matches_arrangement_oracle(spec):
         for p in range(3):
             want = oracle_contracted_entry(spec, i, p)
             assert abs(octo.O_contracted[i, p] - want) < 1e-10
+
+
+@pytest.mark.parametrize("n_points", [700, 900, 1500])
+def test_noisy_curve_moments_match_an_eight_fold_grid(n_points):
+    # the noise puts energy up to the Nyquist bin N/2, so the octopole
+    # integrand reaches frequency 3N/2; a fixed 1024-sample grid aliases it
+    curve = noisy_sampled_knot(n_points)
+    fine = 8 * n_points
+    quad = quadrupole_moments(curve)
+    want = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j, k in SORTED_PAIRS:
+            want[i, j, k] = want[i, k, j] = oracle_quadrupole_entry(curve, i, j, k, fine)
+    assert np.abs(quad.Q_tensor - want).max() <= 1e-12 * np.abs(want).max()
+    assert_octopole_matches_oracle(octopole_moments(curve), curve, fine, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [TorusKnot(2, 3), TorusKnot(3, 2), TorusKnot(2, 5), TorusKnot(3, 4), UnknotXY(), UnknotXZ(), UnknotYZ()],
+    ids=lambda s: s.label(),
+)
+def test_preset_moments_on_the_bandwidth_grid_equal_the_1024_sample_grid(spec):
+    # UnknotXY has a round-off octopole, so the scale never drops below 1
+    pairs = [
+        (quadrupole_moments(spec).Q_tensor, quadrupole_moments(spec, 1024).Q_tensor),
+        (octopole_moments(spec).O_tensor, octopole_moments(spec, 1024).O_tensor),
+        (octopole_moments(spec).O_contracted, octopole_moments(spec, 1024).O_contracted),
+        (dipole_moment(spec), dipole_moment(spec, 1024)),
+    ]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [TorusKnot(2, 3), TorusKnot(3, 2), UnknotXZ(), SampledCurve.from_array(np.random.default_rng(5).normal(size=(300, 3)))],
+    ids=lambda s: s.label(),
+)
+def test_explicit_1024_samples_keep_the_1024_grid_octopole(spec):
+    # n_samples is a floor: at or above the bandwidth grid it is the grid used
+    assert_octopole_matches_oracle(octopole_moments(spec, 1024), spec, 1024, 1e-14)
+
+
+class UnderstatedTorusKnot(TorusKnot):
+    """A (p, q) torus knot that reports bandwidth 1, so only n_samples can make its grid exact."""
+
+    bandwidth = 1
+
+
+def test_n_samples_is_a_floor_under_the_bandwidth_grid():
+    spec, exact = UnderstatedTorusKnot(2, 3), octopole_moments(TorusKnot(2, 3))
+    floored = octopole_moments(spec, 1024).O_tensor
+    assert np.abs(floored - exact.O_tensor).max() <= 1e-13 * np.abs(exact.O_tensor).max()
+    # on its own 8-point grid the understated curve aliases
+    assert np.abs(octopole_moments(spec).O_tensor - exact.O_tensor).max() > 1.0
+
+
+def test_moments_refuse_a_floor_below_eight_samples():
+    for moments in (quadrupole_moments, octopole_moments, dipole_moment):
+        with pytest.raises(ValueError):
+            moments(UnknotXZ(), 4)
 
 
 def test_contraction_relation_between_oracles():

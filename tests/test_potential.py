@@ -122,9 +122,11 @@ def test_multipole_order_scaling():
     q_near = multipole_potential(quad, octo, near, order="quadrupole").vector
     q_far = multipole_potential(quad, octo, far, order="quadrupole").vector
     np.testing.assert_allclose(q_far, q_near / 8.0, rtol=1e-12)
-    o_near = multipole_potential(quad, octo, near).vector - q_near
-    o_far = multipole_potential(quad, octo, far).vector - q_far
-    np.testing.assert_allclose(o_far, o_near / 16.0, rtol=1e-12)
+    # the octopole part of a torus knot is round-off, so a 1/r^4 law would
+    # compare noise; it must stay negligible against the quadrupole part
+    for point, q_part in ((near, q_near), (far, q_far)):
+        o_part = multipole_potential(quad, octo, point).vector - q_part
+        assert np.abs(o_part).max() <= 1e-12 * np.abs(q_part).max()
 
 
 @pytest.mark.parametrize("spec", [UnknotXZ(), UnknotYZ()], ids=lambda s: s.label())
