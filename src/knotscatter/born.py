@@ -44,8 +44,7 @@ from .multipole import (
     quadrupole_moments,
 )
 from .potential import _biot_savart_batch, _multipole_components
-from .radial import RadialCoefficients, radial_coefficients
-from .specfun import NonConvergent
+from .radial import RadialCoefficients, _aitken_levels, radial_coefficients
 
 #: Relative on-shell tolerance: inputs farther off the elastic shell are rejected.
 ON_SHELL_RTOL = 1e-12
@@ -133,17 +132,6 @@ class ScatteringKinematics:
     def swapped(self) -> "ScatteringKinematics":
         """Time-reversed pair (k_n -> k_i); useful for Hermiticity checks."""
         return ScatteringKinematics(k_i=self.k_n, k_n=self.k_i, lambda0=self.lambda0)
-
-
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Physical coupling prefactor; all charge/mass constants absorbed into g."""
-
-    g: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.g) and self.g != 0.0):
-            raise ValueError(f"coupling g must be finite and nonzero, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -413,24 +401,8 @@ def vni_bruteforce(
 
     # tail extrapolation of the alternating panel sums beyond r_max
     tail = partial[n_base - 1 :]
-    limit = _aitken_tail(tail)
+    *_, limit = _aitken_levels(tail)
     return complex(-g / (4.0 * math.pi) * limit)
-
-
-def _aitken_tail(partial: np.ndarray) -> complex:
-    seq = np.asarray(partial, dtype=complex)
-    best = seq[-1]
-    while len(seq) >= 3:
-        d1 = seq[2:] - seq[1:-1]
-        d2 = seq[2:] - 2.0 * seq[1:-1] + seq[:-2]
-        safe = np.abs(d2) > 1e-300
-        nxt = seq[2:].copy()
-        nxt[safe] -= d1[safe] ** 2 / d2[safe]
-        if not np.all(np.isfinite(nxt)):
-            raise NonConvergent("tail extrapolation of the volume integral became unstable")
-        best = nxt[-1]
-        seq = nxt
-    return complex(best)
 
 
 def amplitude_to_dict(kin: ScatteringKinematics, amp: BornAmplitude) -> dict:

@@ -9,6 +9,8 @@ sweep      seeded random kinematics sweep as CSV
 factorize  torus-knot factorization residual report as JSON
 selfcheck  internal oracle suite (radial, angular, far field) as JSON
 
+Each subcommand accepts only the flags it reads; every one takes --out.
+
 Exit codes: 0 success, 1 failed check, 2 configuration error, 3 numerical
 non-convergence. All randomness uses numpy's PCG64 generator seeded from
 --seed, so identical configurations produce byte-identical documents.
@@ -39,7 +41,7 @@ from .born import (
     factorization_residual,
     random_kinematics,
 )
-from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, sampled_from_json
+from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, moment_samples, sampled_from_json
 from .multipole import dipole_moment, moments_to_dict, octopole_moments, quadrupole_moments
 from .potential import (
     FieldPoint,
@@ -114,11 +116,6 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
-def _require_format(args, allowed: str) -> None:
-    if args.format != allowed:
-        raise ValueError(f"this command only supports --format {allowed}, got {args.format!r}")
-
-
 def _positive(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -127,12 +124,10 @@ def _positive(name: str, value: float) -> float:
 
 def cmd_moments(args) -> int:
     spec = parse_knot(args.knot)
-    n = int(args.samples)
-    document = moments_to_dict(quadrupole_moments(spec, n), octopole_moments(spec, n))
-    document["dipole"] = list(dipole_moment(spec, n))
+    document = moments_to_dict(quadrupole_moments(spec), octopole_moments(spec))
+    document["dipole"] = list(dipole_moment(spec))
     document["knot"] = spec.label()
-    document["n_samples"] = n
-    _require_format(args, "json")
+    document["n_samples"] = moment_samples(spec)
     _emit_json(document, args.out)
     return 0
 
@@ -144,11 +139,10 @@ def cmd_potential(args) -> int:
         raise ValueError(f"--r-max must be >= --r-min, got {args.r_max} < {args.r_min}")
     if args.n_r < 1:
         raise ValueError(f"--n-r must be at least 1, got {args.n_r}")
-    _require_format(args, "csv")
     methods = ("multipole", "biot-savart") if args.method == "both" else (args.method,)
     radii = np.geomspace(args.r_min, args.r_max, int(args.n_r))
-    quad = quadrupole_moments(spec, int(args.samples))
-    octo = octopole_moments(spec, int(args.samples))
+    quad = quadrupole_moments(spec)
+    octo = octopole_moments(spec)
     rows = []
     for method in methods:
         for r in radii:
@@ -175,7 +169,6 @@ def cmd_amplitude(args) -> int:
     if args.coupling == 0.0:
         raise ValueError("coupling must be nonzero")
     kin = _kinematics_from_args(args)
-    _require_format(args, "json")
     amp = born_amplitude(spec, kin, args.coupling)
     document = amplitude_to_dict(kin, amp)
     document["knot"] = spec.label()
@@ -192,7 +185,6 @@ def cmd_sweep(args) -> int:
         raise ValueError("coupling must be nonzero")
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    _require_format(args, "csv")
     rng = np.random.default_rng(args.seed)
     kins = random_kinematics(rng, args.k, args.lambda0, int(args.n))
     rows = []
@@ -231,7 +223,6 @@ def cmd_factorize(args) -> int:
         raise ValueError(f"need 0 < --k-min <= --k-max, got {args.k_min}, {args.k_max}")
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    _require_format(args, "json")
     rng = np.random.default_rng(args.seed)
     kins = [
         random_kinematics(rng, float(rng.uniform(args.k_min, args.k_max)), args.lambda0, 1)[0]
@@ -361,7 +352,6 @@ def _selfcheck_farfield() -> dict:
 
 def cmd_selfcheck(args) -> int:
     _positive("--lambda0", args.lambda0)
-    _require_format(args, "json")
     closed, degenerate = _selfcheck_radial(args.lambda0)
     tables, discrepancies, identities = _selfcheck_angular()
     farfield = _selfcheck_farfield()
@@ -389,17 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default):
-        p.add_argument("--lambda0", type=float, default=3.5, help="cutoff sphere radius (default 3.5)")
-        p.add_argument("--coupling", type=float, default=1.0, help="coupling prefactor g (default 1.0)")
-        help_samples = "curve samples: moment-grid floor, Biot-Savart count (default 1024; potential 2048)"
-        p.add_argument("--samples", type=int, default=1024, help=help_samples)
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    shared = {
+        "--lambda0": dict(type=float, default=3.5, help="cutoff sphere radius (default 3.5)"),
+        "--coupling": dict(type=float, default=1.0, help="coupling prefactor g (default 1.0)"),
+        "--out": dict(default=None, help="output path (default stdout)"),
+    }
+
+    def add_shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("moments", help="multipole moments of a knot")
     p.add_argument("--knot", required=True)
-    common(p, "json")
+    add_shared(p, "--out")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("potential", help="vector potential samples along a ray")
@@ -411,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.5)
     p.add_argument("--method", choices=("multipole", "biot-savart", "both"), default="both")
     p.add_argument("--order", choices=("quadrupole", "octopole"), default="octopole")
-    common(p, "csv")
-    p.set_defaults(func=cmd_potential, samples=2048)
+    p.add_argument("--samples", type=int, default=2048, help="Biot-Savart curve samples (default 2048)")
+    add_shared(p, "--out")
+    p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("amplitude", help="one reduced matrix element")
     p.add_argument("--knot", required=True)
@@ -421,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ki-phi", type=float, required=True)
     p.add_argument("--kn-theta", type=float, required=True)
     p.add_argument("--kn-phi", type=float, required=True)
-    common(p, "json")
+    add_shared(p, "--lambda0", "--coupling", "--out")
     p.set_defaults(func=cmd_amplitude)
 
     p = sub.add_parser("sweep", help="seeded random kinematics sweep")
@@ -429,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
-    common(p, "csv")
+    add_shared(p, "--lambda0", "--coupling", "--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("factorize", help="torus-knot factorization residual")
@@ -440,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=float, default=0.2)
     p.add_argument("--k-max", type=float, default=2.0)
     p.add_argument("--threshold", type=float, default=1e-8)
-    common(p, "json")
+    add_shared(p, "--lambda0", "--coupling", "--out")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("selfcheck", help="internal oracle suite")
@@ -449,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat known tabulated-coefficient discrepancies as failures",
     )
-    common(p, "json")
+    add_shared(p, "--lambda0", "--out")
     p.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -1,4 +1,4 @@
-"""Closed parametric curves and spectrally accurate line integrals.
+"""Closed parametric curves and their spectrally exact sample grids.
 
 A curve is a smooth closed loop r'(tau) with tau running over [0, 2*pi).
 Four analytic presets are provided, all living on or inside the sphere of
@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +51,8 @@ class KnotSpec:
     (moments, samples) be cached per spec.
     """
 
-    #: Highest frequency of r'(tau) as a trigonometric polynomial.
+    #: Highest frequency of r'(tau) as a trigonometric polynomial; the moments
+    #: are exact only on a grid chosen from it, so it must not be understated.
     bandwidth: int
 
     def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,27 +268,6 @@ def moment_samples(spec: KnotSpec) -> int:
     of bandwidth 3B, exactly; powers of two keep the FFT fast.
     """
     return max(8, 1 << (3 * spec.bandwidth).bit_length())
-
-
-def curve_integral(
-    spec: KnotSpec,
-    integrand: Callable[[CurvePoint, float], float],
-    n_samples: int = DEFAULT_SAMPLES,
-) -> float:
-    """Integrate a smooth periodic function along the curve.
-
-    Equal-spacing trapezoidal summation over one period, which converges
-    spectrally for smooth periodic integrands; every preset integrand is a
-    trigonometric polynomial, so results are exact to round-off once
-    n_samples clears the bandwidth.
-    """
-    tau, pos, der = sample_curve(spec, n_samples)
-    values = np.fromiter(
-        (integrand(CurvePoint(pos[j], der[j]), tau[j]) for j in range(n_samples)),
-        dtype=float,
-        count=n_samples,
-    )
-    return float(values.mean() * TWO_PI)
 
 
 def min_enclosing_radius(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> float:

@@ -12,9 +12,8 @@ carried by two families of line-integral moments:
 All sums over repeated indices are written out explicitly; no implicit
 summation convention is used anywhere in this module.
 
-Each moment is a periodic trapezoid mean on max(n_samples, moment_samples(spec))
-points: n_samples is a floor, and the bandwidth grid of moment_samples makes
-every moment exact to round-off, so the default floor is the minimum of 8.
+Each moment is a periodic trapezoid mean on the moment_samples(spec) grid,
+where it is exact to round-off, so a moment depends on the curve alone.
 """
 
 from __future__ import annotations
@@ -77,52 +76,31 @@ class OctopoleMoments:
     O_contracted: np.ndarray
 
 
-def _quadrupole_entry(i: int, j: int, k: int, K: np.ndarray) -> float:
-    # Case rule for Q^{r_i}_{R_j R_k} in terms of the three K scalars.
-    if i != j and j != k and i != k:
-        return 0.0
-    d_jk = 1.0 if j == k else 0.0
-    d_ik = 1.0 if i == k else 0.0
-    d_ij = 1.0 if i == j else 0.0
-    return (
-        d_jk * K[i] * (1.0 - d_ij)
-        - d_ik * K[j] * (1.0 - d_ij)
-        - d_ij * K[k] * (1.0 - d_ik)
-    )
-
-
-def _moment_grid(spec: KnotSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    # positions and derivatives on the exact moment grid, or on n_samples if larger
-    if n_samples < 8:
-        raise ValueError(f"need at least 8 samples, got {n_samples}")
-    _, pos, der = sample_curve(spec, max(n_samples, moment_samples(spec)))
+def _moment_grid(spec: KnotSpec) -> tuple[np.ndarray, np.ndarray]:
+    # positions and derivatives on the exact moment grid
+    _, pos, der = sample_curve(spec, moment_samples(spec))
     return pos, der
 
 
 @lru_cache(maxsize=256)
-def quadrupole_moments(spec: KnotSpec, n_samples: int = 8) -> QuadrupoleMoments:
-    """Quadrupole moments of a curve, on at least n_samples points.
+def quadrupole_moments(spec: KnotSpec) -> QuadrupoleMoments:
+    """Quadrupole moments of a curve.
 
-    K^1 = loop integral of z' dy'/dtau,
-    K^2 = loop integral of x' dz'/dtau,
-    K^3 = loop integral of y' dx'/dtau,
-    with the tensor and trace parts assembled from the case rule.
+    One matmul gives V[m, c] = loop integral of t_m r_c, antisymmetric because
+    the loop integral of d(r_m r_c) vanishes, so
+    K^1 = loop integral of z' dy'/dtau = V[1, 2],
+    K^2 = loop integral of x' dz'/dtau = V[2, 0],
+    K^3 = loop integral of y' dx'/dtau = V[0, 1].
+    Q[i, j, k] is the loop integral of the sum over the distinct arrangements
+    (b, c) of {j, k} of (t x e_b)_i r_c, from W[i, b, c] = sum_m eps_imb V[m, c].
     """
-    pos, der = _moment_grid(spec, n_samples)
-    x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
-    dx, dy, dz = der[:, 0], der[:, 1], der[:, 2]
-    K = np.array(
-        [
-            (z * dy).mean() * TWO_PI,
-            (x * dz).mean() * TWO_PI,
-            (y * dx).mean() * TWO_PI,
-        ]
-    )
-    Q = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                Q[i, j, k] = _quadrupole_entry(i, j, k, K)
+    pos, der = _moment_grid(spec)
+    V = der.T @ pos * (TWO_PI / len(pos))
+    V = 0.5 * (V - V.T)  # zero diagonal, so all-distinct entries of Q are exactly 0.0
+    K = 0.5 * np.einsum("imc,mc->i", EPS, V)
+    W = np.einsum("imb,mc->ibc", EPS, V)
+    Q = W + W.transpose(0, 2, 1)
+    Q[:, range(3), range(3)] *= 0.5
     trace = -2.0 * K
     for arr in (K, Q, trace):
         arr.flags.writeable = False
@@ -130,8 +108,8 @@ def quadrupole_moments(spec: KnotSpec, n_samples: int = 8) -> QuadrupoleMoments:
 
 
 @lru_cache(maxsize=256)
-def octopole_moments(spec: KnotSpec, n_samples: int = 8) -> OctopoleMoments:
-    """Integrated octopole tensor and contraction of a curve, on at least n_samples points.
+def octopole_moments(spec: KnotSpec) -> OctopoleMoments:
+    """Integrated octopole tensor and contraction of a curve.
 
     O[i, j, k, l] is the loop integral of the sum over the distinct
     arrangements (b, c, d) of {j, k, l} of (t x e_b)_i r_c r_d. One matmul
@@ -139,7 +117,7 @@ def octopole_moments(spec: KnotSpec, n_samples: int = 8) -> OctopoleMoments:
     turns it into Y[i, b, c, d] = loop integral of (t x e_b)_i r_c r_d, and
     the contraction follows from O_contracted[i, p] = sum_m (1 + 2*delta_{pm}) O[i, p, m, m].
     """
-    pos, der = _moment_grid(spec, n_samples)
+    pos, der = _moment_grid(spec)
     J, K = PAIR_COLUMNS
     X = np.empty((3, 3, 3))
     X[:, J, K] = X[:, K, J] = der.T @ (pos[:, J] * pos[:, K]) * (TWO_PI / len(pos))
@@ -152,13 +130,13 @@ def octopole_moments(spec: KnotSpec, n_samples: int = 8) -> OctopoleMoments:
     return OctopoleMoments(O_tensor=O, O_contracted=contracted)
 
 
-def dipole_moment(spec: KnotSpec, n_samples: int = 8) -> np.ndarray:
-    """Total dipole moment, the loop integral of dr'/dtau, on at least n_samples points.
+def dipole_moment(spec: KnotSpec) -> np.ndarray:
+    """Total dipole moment, the loop integral of dr'/dtau.
 
     Identically zero for any closed curve; kept as an explicit check of
     closure rather than a trusted identity.
     """
-    _, der = _moment_grid(spec, n_samples)
+    _, der = _moment_grid(spec)
     return der.mean(axis=0) * TWO_PI
 
 

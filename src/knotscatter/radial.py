@@ -200,21 +200,32 @@ def _head_integral(l: int, s: int, a: float, z0: float) -> float:
     return sum(_panel_integral(l, s, cuts[i], cuts[i + 1]) for i in range(n_sub))
 
 
-def _aitken_limit(partial: np.ndarray, abs_tol: float) -> float:
-    # Iterated Aitken delta-squared extrapolation of a (complex or real)
-    # partial-sum sequence with eventually alternating error.
+def _aitken_levels(partial: np.ndarray):
+    # Last entry of each level of iterated Aitken delta-squared extrapolation
+    # of a (complex or real) partial-sum sequence with eventually alternating
+    # error, starting from the partial sums themselves.
     seq = np.asarray(partial, dtype=complex)
-    prev_last = seq[-1]
+    yield seq[-1]
     while len(seq) >= 3:
         d1 = seq[2:] - seq[1:-1]
         d2 = seq[2:] - 2.0 * seq[1:-1] + seq[:-2]
         safe = np.abs(d2) > 1e-300
         nxt = seq[2:].copy()
         nxt[safe] -= d1[safe] ** 2 / d2[safe]
-        if abs(nxt[-1] - prev_last) <= 0.25 * abs_tol:
-            return nxt[-1].real if np.isrealobj(partial) else nxt[-1]
-        prev_last = nxt[-1]
         seq = nxt
+        if not np.all(np.isfinite(seq)):
+            raise NonConvergent("partial-sum extrapolation produced a non-finite level")
+        yield seq[-1]
+
+
+def _aitken_limit(partial: np.ndarray, abs_tol: float) -> float:
+    # first Aitken level whose last entry moved by at most abs_tol / 4
+    levels = _aitken_levels(partial)
+    prev_last = next(levels)
+    for last in levels:
+        if abs(last - prev_last) <= 0.25 * abs_tol:
+            return last.real if np.isrealobj(partial) else last
+        prev_last = last
     raise NonConvergent("partial-sum extrapolation did not stabilize within the panel budget")
 
 

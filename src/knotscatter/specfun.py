@@ -1,8 +1,8 @@
 """Special functions and angular-momentum coefficients.
 
 Small, well-tested building blocks for the radial and angular reductions:
-Legendre polynomials, spherical harmonics (Condon-Shortley phase), spherical
-Bessel functions, gamma ratios, the generalized hypergeometric series 1F2,
+spherical harmonics (Condon-Shortley phase), gamma ratios, the generalized
+hypergeometric series 1F2,
 exact Clebsch-Gordan coefficients, Gaunt coefficients, and a tensor-product
 quadrature rule on the 2-sphere used as the oracle for everything angular.
 """
@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, sph_harm_y, spherical_jn
+from scipy.special import gammaln, gammasgn, sph_harm_y
 
 
 class DegenerateClosedForm(ValueError):
@@ -31,23 +31,6 @@ class NonConvergent(ArithmeticError):
     """A series or quadrature failed to reach its accuracy target in budget."""
 
 
-def legendre_p(n: int, x: float) -> float:
-    """Legendre polynomial P_n(x) by the three-term recurrence.
-
-    Exact at the endpoints; accepts numpy arrays for x transparently.
-    """
-    if n < 0:
-        raise ValueError(f"Legendre degree must be non-negative, got {n}")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_curr = x.copy()
-    for k in range(1, n):
-        p_prev, p_curr = p_curr, ((2 * k + 1) * x * p_curr - k * p_prev) / (k + 1)
-    return p_curr if p_curr.ndim else float(p_curr)
-
-
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal spherical harmonic Y_{lm}(theta, phi), Condon-Shortley phase.
 
@@ -56,17 +39,6 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     if abs(m) > l:
         raise ValueError(f"|m| <= l required, got l={l}, m={m}")
     return sph_harm_y(l, m, theta, phi)
-
-
-def spherical_bessel_j(l: int, x) -> float:
-    """Spherical Bessel function j_l(x) for l <= 10, x >= 0."""
-    if not 0 <= l <= 10:
-        raise ValueError(f"supported orders are 0 <= l <= 10, got {l}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("argument must be non-negative")
-    out = spherical_jn(l, x)
-    return out if out.ndim else float(out)
 
 
 def gamma_ratio(numerator_arg: float, denominator_arg: float) -> float:

@@ -57,7 +57,7 @@ def test_c1_torus_quadrupole_values():
     ok = True
     worst = 0.0
     for p, q in PAIRS:
-        quad = quadrupole_moments(TorusKnot(p, q), 1024)
+        quad = quadrupole_moments(TorusKnot(p, q))
         scale = 9.0 * p * PI / 2.0
         expected = np.zeros((3, 3, 3))
         expected[0, 0, 2] = expected[0, 2, 0] = scale
@@ -95,7 +95,7 @@ def test_c2_octopole_tabulated_values():
             failures.append(f"{label} got {got:+.6e} want {want:+.6e}")
 
     for p, q in PAIRS:
-        octo = octopole_moments(TorusKnot(p, q), 1024)
+        octo = octopole_moments(TorusKnot(p, q))
         O, Oc = octo.O_tensor, octo.O_contracted
         s = 2.0 * q * PI
         check(f"({p},{q}) O[x,yyy]", O[0, 1, 1, 1], s, s)
@@ -108,7 +108,7 @@ def test_c2_octopole_tabulated_values():
         check(f"({p},{q}) Oc[y,x]", Oc[1, 0], -5.0 * s, 5.0 * s)
         check(f"({p},{q}) O[z,xyz]", O[2, 0, 1, 2], 0.0, s)
 
-    xz = octopole_moments(UnknotXZ(), 1024)
+    xz = octopole_moments(UnknotXZ())
     check("unknot-xz O[x,xxy]", xz.O_tensor[0, 0, 0, 1], -4.0 * PI, 4.0 * PI)
     check("unknot-xz Oc[x,y]", xz.O_contracted[0, 1], -4.0 * PI, 4.0 * PI)
     check("unknot-xz O[y,xxx]", xz.O_tensor[1, 0, 0, 0], 4.0 * PI, 4.0 * PI)
@@ -116,7 +116,7 @@ def test_c2_octopole_tabulated_values():
     check("unknot-xz Oc[y,x]", xz.O_contracted[1, 0], 16.0 * PI, 16.0 * PI)
     check("unknot-xz O[z,xyz]", xz.O_tensor[2, 0, 1, 2], -4.0 * PI, 4.0 * PI)
 
-    yz = octopole_moments(UnknotYZ(), 1024)
+    yz = octopole_moments(UnknotYZ())
     check("unknot-yz O[x,yyy]", yz.O_tensor[0, 1, 1, 1], -4.0 * PI, 4.0 * PI)
     check("unknot-yz O[x,yzz]", yz.O_tensor[0, 1, 2, 2], -4.0 * PI, 4.0 * PI)
     check("unknot-yz Oc[x,y]", yz.O_contracted[0, 1], -16.0 * PI, 16.0 * PI)
@@ -134,14 +134,14 @@ def test_c2_octopole_tabulated_values():
 
 def test_c3_moment_factorization():
     start = time.perf_counter()
-    planar = quadrupole_moments(UnknotXY(), 1024)
-    xz = octopole_moments(UnknotXZ(), 1024)
-    yz = octopole_moments(UnknotYZ(), 1024)
+    planar = quadrupole_moments(UnknotXY())
+    xz = octopole_moments(UnknotXZ())
+    yz = octopole_moments(UnknotYZ())
     ok = True
     details = []
     for p, q in PAIRS:
-        quad = quadrupole_moments(TorusKnot(p, q), 1024)
-        octo = octopole_moments(TorusKnot(p, q), 1024)
+        quad = quadrupole_moments(TorusKnot(p, q))
+        octo = octopole_moments(TorusKnot(p, q))
         dev_q = max(
             float(np.max(np.abs(quad.K - 0.5 * p * planar.K))),
             float(np.max(np.abs(quad.Q_tensor - 0.5 * p * planar.Q_tensor))),

@@ -8,7 +8,6 @@ from scipy.spatial.transform import Rotation
 
 from knotscatter import (
     BruteforceGrid,
-    CouplingConfig,
     SampledCurve,
     ScatteringKinematics,
     TorusKnot,
@@ -55,14 +54,6 @@ def test_kinematics_validation():
         ScatteringKinematics(k_i=(math.inf, 0.0, 0.0), k_n=(math.inf, 0.0, 0.0))
     with pytest.raises(ValueError):
         ScatteringKinematics.from_angles(-0.5, 0.1, 0.2, 0.3, 0.4)
-
-
-def test_coupling_config_validation():
-    assert CouplingConfig().g == 1.0
-    with pytest.raises(ValueError):
-        CouplingConfig(0.0)
-    with pytest.raises(ValueError):
-        CouplingConfig(math.nan)
 
 
 def test_amplitude_is_linear_in_the_coupling():

@@ -8,6 +8,7 @@ import pytest
 
 from knotscatter import TorusKnot, UnknotXZ
 from knotscatter.cli import main, parse_knot
+from knotscatter.curves import moment_samples
 
 
 def run_cli(capsys, *argv):
@@ -35,16 +36,47 @@ def test_moments_document(capsys):
     assert err == ""
     document = json.loads(out)
     assert document["knot"] == "torus:2,3"
-    assert document["n_samples"] == 1024
+    assert document["n_samples"] == moment_samples(TorusKnot(2, 3)) == 16
     np.testing.assert_allclose(document["K"], [0.0, 0.0, -9.0 * math.pi], atol=1e-10)
     np.testing.assert_allclose(document["dipole"], 0.0, atol=1e-12)
     assert np.asarray(document["O"]).shape == (3, 3, 3, 3)
 
 
 def test_moments_rejects_csv(capsys):
-    code, out, err = run_cli(capsys, "moments", "--knot", "unknot-xy", "--format", "csv")
-    assert code == 2
-    assert "format" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--knot", "unknot-xy", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+SUBCOMMAND_ARGV = {
+    "moments": ["moments", "--knot", "unknot-xy"],
+    "potential": ["potential", "--knot", "unknot-xy"],
+    "amplitude": [
+        "amplitude", "--knot", "torus:2,3", "--k", "0.5",
+        "--ki-theta", "0.4", "--ki-phi", "1.1", "--kn-theta", "2.0", "--kn-phi", "-0.6",
+    ],
+    "sweep": ["sweep", "--knot", "torus:2,3", "--k", "0.5"],
+    "factorize": ["factorize", "--p", "2", "--q", "3"],
+    "selfcheck": ["selfcheck"],
+}
+FLAG_VALUES = {"--samples": "64", "--lambda0": "3.5", "--coupling": "1.0", "--format": "json"}
+UNREAD_FLAGS = [
+    ("moments", "--samples"), ("moments", "--lambda0"), ("moments", "--coupling"), ("moments", "--format"),
+    ("potential", "--lambda0"), ("potential", "--coupling"), ("potential", "--format"),
+    ("amplitude", "--samples"), ("amplitude", "--format"),
+    ("sweep", "--samples"), ("sweep", "--format"),
+    ("factorize", "--samples"), ("factorize", "--format"),
+    ("selfcheck", "--samples"), ("selfcheck", "--coupling"), ("selfcheck", "--format"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(SUBCOMMAND_ARGV[command] + [flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_moments_from_sampled_file(tmp_path, capsys):
@@ -55,6 +87,7 @@ def test_moments_from_sampled_file(tmp_path, capsys):
     assert code == 0
     document = json.loads(out)
     assert document["K"][2] == pytest.approx(-9.0 * math.pi)
+    assert document["n_samples"] == moment_samples(parse_knot(f"file:{path}")) == 64
 
 
 def test_short_point_list_is_a_config_error(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Closed-curve presets, spectral resampling, and loop-integral quadrature."""
+"""Closed-curve presets, spectral resampling, and exact moment grids."""
 
 import json
 import math
@@ -15,7 +15,6 @@ from knotscatter import (
     UnknotXY,
     UnknotXZ,
     UnknotYZ,
-    curve_integral,
     eval_curve,
     min_enclosing_radius,
     sampled_from_json,
@@ -71,24 +70,6 @@ def test_derivative_matches_finite_difference(tau, pair):
     np.testing.assert_allclose(
         eval_curve(spec, tau).derivative, (ahead - behind) / (2.0 * h), atol=1e-6
     )
-
-
-def test_loop_integrals_hand_values():
-    # radius-3 planar circle: loop integral of y dx equals minus the enclosed area times two
-    value = curve_integral(UnknotXY(), lambda cp, tau: cp.position[1] * cp.derivative[0], 512)
-    assert abs(value + 9.0 * math.pi) < 1e-10
-    # torus knot: loop integral of z dy vanishes
-    value = curve_integral(TorusKnot(2, 3), lambda cp, tau: cp.position[2] * cp.derivative[1], 1024)
-    assert abs(value) < 1e-12
-
-
-def test_curve_integral_is_spectrally_converged():
-    def integrand(cp, tau):
-        return cp.position[1] * cp.derivative[0]
-
-    coarse = curve_integral(TorusKnot(2, 3), integrand, 64)
-    fine = curve_integral(TorusKnot(2, 3), integrand, 2048)
-    assert abs(coarse - fine) < 1e-12
 
 
 @pytest.mark.parametrize("n_points", [12, 64, 65])

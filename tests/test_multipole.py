@@ -66,6 +66,15 @@ def oracle_quadrupole_entry(spec, i, j, k, n_samples):
     return total.mean() * TWO_PI
 
 
+def oracle_quadrupole_tensor(spec, n_samples):
+    """Q assembled entry by entry from the arrangement-sum oracle."""
+    want = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j, k in SORTED_PAIRS:
+            want[i, j, k] = want[i, k, j] = oracle_quadrupole_entry(spec, i, j, k, n_samples)
+    return want
+
+
 def noisy_sampled_knot(n_points, seed=0):
     """A (3, 4) torus knot sampled at n_points, with noise that fills its whole spectrum."""
     tau = np.arange(n_points) * (TWO_PI / n_points)
@@ -110,12 +119,8 @@ def test_noisy_curve_moments_match_an_eight_fold_grid(n_points):
     # integrand reaches frequency 3N/2; a fixed 1024-sample grid aliases it
     curve = noisy_sampled_knot(n_points)
     fine = 8 * n_points
-    quad = quadrupole_moments(curve)
-    want = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j, k in SORTED_PAIRS:
-            want[i, j, k] = want[i, k, j] = oracle_quadrupole_entry(curve, i, j, k, fine)
-    assert np.abs(quad.Q_tensor - want).max() <= 1e-12 * np.abs(want).max()
+    want = oracle_quadrupole_tensor(curve, fine)
+    assert np.abs(quadrupole_moments(curve).Q_tensor - want).max() <= 1e-12 * np.abs(want).max()
     assert_octopole_matches_oracle(octopole_moments(curve), curve, fine, 1e-12)
 
 
@@ -126,44 +131,24 @@ def test_noisy_curve_moments_match_an_eight_fold_grid(n_points):
 )
 def test_preset_moments_on_the_bandwidth_grid_equal_the_1024_sample_grid(spec):
     # UnknotXY has a round-off octopole, so the scale never drops below 1
+    octo = octopole_moments(spec)
+    O_want = np.reshape([oracle_octopole_entry(spec, *ijkl, 1024) for ijkl in np.ndindex(3, 3, 3, 3)], (3, 3, 3, 3))
+    Oc_want = np.reshape([oracle_contracted_entry(spec, *ip, 1024) for ip in np.ndindex(3, 3)], (3, 3))
     pairs = [
-        (quadrupole_moments(spec).Q_tensor, quadrupole_moments(spec, 1024).Q_tensor),
-        (octopole_moments(spec).O_tensor, octopole_moments(spec, 1024).O_tensor),
-        (octopole_moments(spec).O_contracted, octopole_moments(spec, 1024).O_contracted),
-        (dipole_moment(spec), dipole_moment(spec, 1024)),
+        (quadrupole_moments(spec).Q_tensor, oracle_quadrupole_tensor(spec, 1024)),
+        (octo.O_tensor, O_want),
+        (octo.O_contracted, Oc_want),
+        (dipole_moment(spec), sample_curve(spec, 1024)[2].mean(axis=0) * TWO_PI),
     ]
     for got, want in pairs:
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [TorusKnot(2, 3), TorusKnot(3, 2), UnknotXZ(), SampledCurve.from_array(np.random.default_rng(5).normal(size=(300, 3)))],
-    ids=lambda s: s.label(),
-)
-def test_explicit_1024_samples_keep_the_1024_grid_octopole(spec):
-    # n_samples is a floor: at or above the bandwidth grid it is the grid used
-    assert_octopole_matches_oracle(octopole_moments(spec, 1024), spec, 1024, 1e-14)
-
-
-class UnderstatedTorusKnot(TorusKnot):
-    """A (p, q) torus knot that reports bandwidth 1, so only n_samples can make its grid exact."""
-
-    bandwidth = 1
-
-
-def test_n_samples_is_a_floor_under_the_bandwidth_grid():
-    spec, exact = UnderstatedTorusKnot(2, 3), octopole_moments(TorusKnot(2, 3))
-    floored = octopole_moments(spec, 1024).O_tensor
-    assert np.abs(floored - exact.O_tensor).max() <= 1e-13 * np.abs(exact.O_tensor).max()
-    # on its own 8-point grid the understated curve aliases
-    assert np.abs(octopole_moments(spec).O_tensor - exact.O_tensor).max() > 1.0
-
-
-def test_moments_refuse_a_floor_below_eight_samples():
-    for moments in (quadrupole_moments, octopole_moments, dipole_moment):
-        with pytest.raises(ValueError):
-            moments(UnknotXZ(), 4)
+def test_random_curve_quadrupole_matches_arrangement_oracle():
+    # a 300-point random curve has its whole spectrum filled, unlike any preset
+    curve = SampledCurve.from_array(np.random.default_rng(5).normal(size=(300, 3)))
+    want = oracle_quadrupole_tensor(curve, 8 * 300)
+    assert np.abs(quadrupole_moments(curve).Q_tensor - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_contraction_relation_between_oracles():
@@ -316,11 +301,11 @@ def test_dipole_moment_vanishes(spec):
 def test_moment_scaling_with_curve_size(scale):
     base = sampled_from_spec(TorusKnot(2, 3), 64)
     scaled = SampledCurve(tuple(tuple(scale * c for c in pt) for pt in base.points))
-    k_base = quadrupole_moments(base, 256).K
-    k_scaled = quadrupole_moments(scaled, 256).K
+    k_base = quadrupole_moments(base).K
+    k_scaled = quadrupole_moments(scaled).K
     np.testing.assert_allclose(k_scaled, scale**2 * k_base, rtol=1e-9, atol=1e-9)
-    o_base = octopole_moments(base, 256).O_tensor
-    o_scaled = octopole_moments(scaled, 256).O_tensor
+    o_base = octopole_moments(base).O_tensor
+    o_scaled = octopole_moments(scaled).O_tensor
     np.testing.assert_allclose(o_scaled, scale**3 * o_base, rtol=1e-9, atol=1e-9)
 
 

@@ -15,10 +15,8 @@ from knotscatter import (
     gamma_ratio,
     gaunt,
     hyp1f2,
-    legendre_p,
     sphere_integral,
     sphere_rule,
-    spherical_bessel_j,
     spherical_harmonic,
 )
 
@@ -127,40 +125,6 @@ def test_harmonic_conjugation_and_addition_theorem(theta, phi, l):
         assert abs(val.conjugate() - (-1.0) ** m * mirrored) < 1e-13
         total += abs(val) ** 2
     assert abs(total - (2 * l + 1) / (4.0 * math.pi)) < 1e-13
-
-
-def test_legendre_values_and_orthogonality():
-    x = np.linspace(-1.0, 1.0, 7)
-    np.testing.assert_allclose(legendre_p(2, x), 0.5 * (3.0 * x**2 - 1.0), atol=1e-15)
-    np.testing.assert_allclose(legendre_p(3, x), 0.5 * (5.0 * x**3 - 3.0 * x), atol=1e-15)
-    for n in range(6):
-        assert legendre_p(n, 1.0) == pytest.approx(1.0, abs=1e-14)
-        assert legendre_p(n, -1.0) == pytest.approx((-1.0) ** n, abs=1e-14)
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    for n in range(5):
-        for m in range(n):
-            inner = float(np.sum(weights * legendre_p(n, nodes) * legendre_p(m, nodes)))
-            assert abs(inner) < 1e-14
-    with pytest.raises(ValueError):
-        legendre_p(-1, 0.5)
-
-
-def test_spherical_bessel_closed_forms():
-    x = np.array([0.3, 1.7, 4.2, 9.5])
-    np.testing.assert_allclose(spherical_bessel_j(0, x), np.sin(x) / x, rtol=1e-14)
-    np.testing.assert_allclose(
-        spherical_bessel_j(1, x), np.sin(x) / x**2 - np.cos(x) / x, rtol=1e-13, atol=1e-16
-    )
-    np.testing.assert_allclose(
-        spherical_bessel_j(2, x),
-        (3.0 / x**3 - 1.0 / x) * np.sin(x) - 3.0 / x**2 * np.cos(x),
-        rtol=1e-12,
-        atol=1e-16,
-    )
-    with pytest.raises(ValueError):
-        spherical_bessel_j(11, 1.0)
-    with pytest.raises(ValueError):
-        spherical_bessel_j(2, -1.0)
 
 
 def test_gamma_ratio():
