@@ -121,17 +121,15 @@ def angular_bracket(mono: DirectionCosineMonomial, coeffs: dict) -> complex:
     return complex(sum(coeffs[key] * c for key, c in terms.items()))
 
 
-def sphere_quadrature_bracket(mono: DirectionCosineMonomial, coeffs: dict, l_max: int = 3) -> complex:
+def sphere_quadrature_bracket(mono: DirectionCosineMonomial, coeffs: dict) -> complex:
     """Same bracket via direct 2-sphere quadrature of each projection integral.
 
     Independent oracle for angular_bracket: every integral Y*_{lm} mono is
-    evaluated on a Gauss-Legendre x trapezoid product rule that is exact for
-    these polynomial integrands. Sums over every entry of coeffs (entries
-    orthogonal to the monomial integrate to zero).
+    evaluated on the 12 x 24 Gauss-Legendre x trapezoid product rule, exact
+    for these polynomial integrands up to l = 3. Sums over every entry of
+    coeffs (entries orthogonal to the monomial integrate to zero).
     """
-    if l_max < 3:
-        raise ValueError(f"l_max must be at least 3, got {l_max}")
-    theta, phi, weights = sphere_rule(max(12, l_max + 4), max(24, 2 * l_max + 8))
+    theta, phi, weights = sphere_rule(12, 24)
     mono_values = mono.evaluate(theta, phi)
     total = 0.0 + 0.0j
     for (l, m), coefficient in coeffs.items():
@@ -261,8 +259,8 @@ def triple_product_residual(theta: float, phi: float) -> float:
     return worst
 
 
-def discrepancy_report(tol: float = 1e-11) -> list[dict]:
-    """Tabulated-versus-computed mismatches above tol, as JSON-ready dicts.
+def discrepancy_report() -> list[dict]:
+    """Tabulated-versus-computed mismatches above 1e-11, as JSON-ready dicts.
 
     Checks every entry of TABULATED_BRACKETS and every alternate value in
     TABULATED_VARIANTS against the Gaunt-built expansion. Exactly one entry
@@ -273,12 +271,12 @@ def discrepancy_report(tol: float = 1e-11) -> list[dict]:
         computed = monomial_expansion(DirectionCosineMonomial(exponents)).terms
         for (l, m), value in sorted(table.items()):
             reference = complex(computed.get((l, m), 0.0))
-            if abs(complex(value) - reference) > tol:
+            if abs(complex(value) - reference) > 1e-11:
                 report.append(_report_entry(exponents, l, m, value, reference))
     for exponents, (l, m), value in TABULATED_VARIANTS:
         computed = monomial_expansion(DirectionCosineMonomial(exponents)).terms
         reference = complex(computed.get((l, m), 0.0))
-        if abs(complex(value) - reference) > tol:
+        if abs(complex(value) - reference) > 1e-11:
             report.append(_report_entry(exponents, l, m, value, reference))
     return report
 

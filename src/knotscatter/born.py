@@ -34,7 +34,7 @@ from math import gcd
 import numpy as np
 
 from .angular import DirectionCosineMonomial, angular_bracket
-from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, min_enclosing_radius
+from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, check_cutoff
 from .multipole import (
     SORTED_PAIRS,
     SORTED_TRIPLES,
@@ -213,8 +213,10 @@ def born_amplitude(spec: KnotSpec, kin: ScatteringKinematics, g: float = 1.0) ->
     Computes the curve's moments, the radial coefficient maps for the
     momentum transfer, and the four pieces. The reported number multiplies
     -2 pi i delta(E_n - E_i) in the full S matrix; the delta itself is
-    stripped.
+    stripped. A cutoff sphere that does not enclose the curve raises
+    ValueError (curves.check_cutoff).
     """
+    check_cutoff(spec, kin.lambda0)
     quad = quadrupole_moments(spec)
     octo = octopole_moments(spec)
     return _assemble(quad, octo, kin, radial_coefficients(kin), g)
@@ -245,6 +247,7 @@ def triad_amplitude(p: int, q: int, kin: ScatteringKinematics, g: float = 1.0) -
     """
     if gcd(p, q) != 1:
         raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
+    check_cutoff(TorusKnot(p, q), kin.lambda0)
     return _triad(p, q, kin, radial_coefficients(kin), g)
 
 
@@ -263,6 +266,7 @@ def factorization_residual(
     octo = octopole_moments(spec)
     worst = 0.0
     for kin in kin_samples:
+        check_cutoff(spec, kin.lambda0)
         radial = radial_coefficients(kin)
         direct = _assemble(quad, octo, kin, radial, g).total
         predicted = _triad(p, q, kin, radial, g).total
@@ -340,10 +344,9 @@ def vni_bruteforce(
     grid = grid_spec or BruteforceGrid()
     if r_max < 30.0 * kin.lambda0:
         raise ValueError(f"r_max must be at least 30 lambda0 = {30.0 * kin.lambda0}, got {r_max}")
+    check_cutoff(spec, kin.lambda0)
     quad = quadrupole_moments(spec)
     octo = octopole_moments(spec)
-    if grid.field == "biot-savart" and kin.lambda0 <= min_enclosing_radius(spec):
-        raise ValueError("biot-savart integrand requires lambda0 outside the curve")
     q_mag = kin.q_mag
     q_hat = kin.q_hat
     K = kin.K_vec
@@ -379,7 +382,7 @@ def vni_bruteforce(
         if grid.field == "multipole":
             values = _multipole_components(quad, octo, radii, directions, "octopole")
         else:
-            values = _biot_savart_batch(spec, radii[:, None] * directions, 2048, 1.0)
+            values = _biot_savart_batch(spec, radii[:, None] * directions, 2048)
         return values @ K
 
     def panel(lo: float, hi: float) -> complex:

@@ -219,6 +219,8 @@ def cmd_factorize(args) -> int:
         raise ValueError(f"(p, q) must be coprime, got ({args.p}, {args.q})")
     _positive("--lambda0", args.lambda0)
     _positive("--threshold", args.threshold)
+    if args.coupling == 0.0:
+        raise ValueError("coupling must be nonzero")
     if not 0 < args.k_min <= args.k_max:
         raise ValueError(f"need 0 < --k-min <= --k-max, got {args.k_min}, {args.k_max}")
     if args.n < 1:
@@ -324,7 +326,7 @@ def _selfcheck_farfield() -> dict:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         points = radii[:, None] * direction[None, :]
-        exact = _biot_savart_batch(spec, points, 4096, 1.0)
+        exact = _biot_savart_batch(spec, points, 4096)
         truncated = _multipole_components(
             quad, octo, radii, np.broadcast_to(direction, (len(radii), 3)), "octopole"
         )

@@ -282,6 +282,32 @@ def min_enclosing_radius(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> fl
     return float(np.sqrt((pos**2).sum(axis=1)).max())
 
 
+@lru_cache(maxsize=256)
+def check_cutoff(spec: KnotSpec, lambda0: float) -> None:
+    """Raise ValueError unless the sphere r = lambda0 provably encloses the curve.
+
+    F = |r'(tau)|^2 is a trigonometric polynomial of degree 2B, so Bernstein's
+    inequality |F'| <= 2B max F bounds max F <= max_grid F / (1 - 2 pi B / M)
+    on an M-point grid (Zygmund, Trigonometric Series, ch. X). The grid
+    doubles from DEFAULT_SAMPLES until lambda0^2 clears that bound; the
+    cutoff is refused at or below max_grid F, or if the 2^16-point grid still
+    does not clear it, which refuses every curve of bandwidth B > 2^16 / 2 pi.
+    """
+    n_samples = DEFAULT_SAMPLES
+    while n_samples <= 1 << 16:
+        pos, _ = spec._eval_grid(np.arange(n_samples) * (TWO_PI / n_samples))
+        grid_max = float((pos**2).sum(axis=1).max())
+        if lambda0**2 <= grid_max:
+            break
+        if lambda0**2 * (1.0 - TWO_PI * spec.bandwidth / n_samples) > grid_max:
+            return
+        n_samples *= 2
+    raise ValueError(
+        f"cutoff lambda0 = {lambda0} is not certified to enclose the curve "
+        f"(radius {grid_max**0.5:.6g} on a {min(n_samples, 1 << 16)}-point grid, bandwidth {spec.bandwidth})"
+    )
+
+
 def sampled_from_json(document: str | dict) -> SampledCurve:
     """Build a SampledCurve from a JSON document {"points": [[x, y, z], ...]}.
 

@@ -86,9 +86,7 @@ class VectorPotentialValue:
         return float(np.linalg.norm(self.vector))
 
 
-def _biot_savart_batch(
-    spec: KnotSpec, points: np.ndarray, n_samples: int, prefactor: float
-) -> np.ndarray:
+def _biot_savart_batch(spec: KnotSpec, points: np.ndarray, n_samples: int) -> np.ndarray:
     """Exact line-integral potential at each row of points, shape (n, 3)."""
     _, pos, der = sample_curve(spec, n_samples)
     (px, py, pz), (tx, ty, tz) = pos.T, der.T
@@ -109,19 +107,17 @@ def _biot_savart_batch(
         out[start : start + chunk, 0] = ((ty * sz - tz * sy) * weight).mean(axis=1)
         out[start : start + chunk, 1] = ((tz * sx - tx * sz) * weight).mean(axis=1)
         out[start : start + chunk, 2] = ((tx * sy - ty * sx) * weight).mean(axis=1)
-    return out * TWO_PI * prefactor
+    return out * TWO_PI
 
 
-def biot_savart_dipole_line(
-    spec: KnotSpec, point: FieldPoint, n_samples: int = 2048, prefactor: float = 1.0
-) -> VectorPotentialValue:
+def biot_savart_dipole_line(spec: KnotSpec, point: FieldPoint, n_samples: int = 2048) -> VectorPotentialValue:
     """Exact potential of the dipole line by periodic-trapezoid quadrature.
 
     No far-field approximation; this is the oracle the multipole form is
     tested against. Points within MIN_CURVE_DISTANCE of the curve are
     rejected.
     """
-    values = _biot_savart_batch(spec, point.cartesian[None, :], n_samples, prefactor)
+    values = _biot_savart_batch(spec, point.cartesian[None, :], n_samples)
     return VectorPotentialValue(ax=values[0, 0], ay=values[0, 1], az=values[0, 2])
 
 
@@ -153,7 +149,6 @@ def multipole_potential(
     octo: OctopoleMoments,
     point: FieldPoint,
     order: str = "octopole",
-    prefactor: float = 1.0,
 ) -> VectorPotentialValue:
     """Far-field potential from precomputed moments, through the given order.
 
@@ -163,31 +158,24 @@ def multipole_potential(
     """
     values = _multipole_components(
         quad, octo, np.array([point.r]), point.direction_cosines[None, :], order
-    )
-    values = values[0] * prefactor
+    )[0]
     return VectorPotentialValue(ax=values[0], ay=values[1], az=values[2])
 
 
-def divergence_multipole(
-    quad: QuadrupoleMoments,
-    octo: OctopoleMoments,
-    point: FieldPoint,
-    order: str = "octopole",
-    step_factor: float = 1e-4,
-) -> float:
-    """Numerical divergence of the multipole potential by central differences.
+def divergence_multipole(quad: QuadrupoleMoments, octo: OctopoleMoments, point: FieldPoint) -> float:
+    """Numerical divergence of the octopole-order potential by central differences.
 
-    Step scales with r. The exact field is divergence-free (Coulomb gauge),
+    The step is 1e-4 r. The exact field is divergence-free (Coulomb gauge),
     so this should vanish to finite-difference accuracy.
     """
     x0 = point.cartesian
-    h = step_factor * point.r
+    h = 1e-4 * point.r
     total = 0.0
     for axis in range(3):
         offset = np.zeros(3)
         offset[axis] = h
         for sign in (+1.0, -1.0):
             shifted = FieldPoint.from_cartesian(*(x0 + sign * offset))
-            value = multipole_potential(quad, octo, shifted, order)
+            value = multipole_potential(quad, octo, shifted)
             total += sign * value.vector[axis] / (2.0 * h)
     return total

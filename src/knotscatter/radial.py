@@ -7,20 +7,22 @@ appear in the scattering matrix element:
     rho_B(l) = (1/k) integral_{lambda0}^{inf} j_l(k r) / r^2 dr
 
 Both are dimensionless functions of a = k*lambda0 alone. The amplitude path
-(radial_coefficients) uses one production scheme per order, chosen by a:
+(radial_coefficients) uses one production scheme per order, switching at
+a = 2 (SICI_SWITCH_A):
 
-* rho_A(0), and every order for a >= 2: j_l written as a finite sum of
-  sin(x)/x^m and cos(x)/x^m terms (DLMF 10.49), each integrated in closed
-  form from the sine and cosine integrals (A&S 5.2). Below a = 60 the moments
-  integral_a^inf e^{ix}/x^m dx follow from Si(a), Ci(a) by upward
+* rho_A(2) = j_1(a)/a and rho_B(3) = j_2(a)/a^2 (DLMF 10.51.2,
+  integral_a^inf j_l(x) x^(1-l) dx = a^(1-l) j_{l-1}(a)): elementary
+  sin/cos forms for a >= 2, the 0F1 series of j_l(a)/a^l below, where the
+  elementary forms cancel like a^(-2l).
+* rho_A(0) at every a, and rho_B(1) for a >= 2: j_l written as a finite sum
+  of sin(x)/x^m and cos(x)/x^m terms (DLMF 10.49), each integrated in
+  closed form from the sine and cosine integrals (A&S 5.2). Below a = 60 the
+  moments integral_a^inf e^{ix}/x^m dx follow from Si(a), Ci(a) by upward
   recurrence; from a = 60 on they follow from the asymptotic series of the
   highest moment by downward recurrence, because the upward recurrence
   amplifies the rounding of Ci(a) by up to a^2 there.
-* rho_B(1) below a = 2: (rho_A(0) + j_1(a)/a) / 3, which avoids the 1/a^2
+* rho_B(1) below a = 2: (rho_A(0) + rho_A(2)) / 3, which avoids the 1/a^2
   cancellation of the sine/cosine form at small a.
-* rho_A(2) and rho_B(3) below a = 2: the closed form (gamma ratio minus a
-  1F2 series); the sine/cosine form loses digits there (rho_B(3): 1e-2
-  relative at a = 1e-3).
 
 Arguments a > 1e3 are refused with ValueError. Against a 40-digit mpmath
 evaluation (241 log-spaced a in [1e-3, 1e3], 4001 in [30, 1e3]) the
@@ -31,9 +33,10 @@ the zeros of the oscillating tail). The tests hold it to 1e-10.
 The other evaluations are oracles for tests and the CLI selfcheck, never
 called by the amplitude path:
 
-* radial_A_closed / radial_B_closed at any order l >= 1 (A), l >= 2 (B), for
-  a <= CLOSED_FORM_MAX_A; the excluded orders sit on a pole of the master
-  formula and raise :class:`DegenerateClosedForm`,
+* radial_A_closed / radial_B_closed, the paper's 1F2 closed forms, at any
+  order l >= 1 (A), l >= 2 (B), for a <= CLOSED_FORM_MAX_A; the excluded
+  orders sit on a pole of the master formula and raise
+  :class:`DegenerateClosedForm`,
 * radial_quadrature, direct oscillatory quadrature that integrates
   zero-to-zero panels of j_l and accelerates the alternating partial sums,
 * radial_reference, the sine/cosine reduction at a single order.
@@ -60,8 +63,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: corresponds to j_l(k r)/r (power -3/2) or j_l(k r)/r^2 (power -5/2).
 WEIGHT_POWERS = (-1.5, -2.5)
 
-#: Below this a the production scheme takes rho_A(2), rho_B(3) from the closed
-#: form and rho_B(1) from rho_A(0); from it on, all four from Si and Ci.
+#: Below this a the production scheme takes rho_A(2), rho_B(3) from the 0F1
+#: series and rho_B(1) from rho_A(0); from it on, rho_A(2) and rho_B(3) from
+#: sin and cos, rho_B(1) from Si and Ci.
 SICI_SWITCH_A = 2.0
 
 #: Largest a accepted by radial_A_closed and radial_B_closed. Measured against
@@ -289,7 +293,7 @@ def _sin_cos_moments(a: float, top: int) -> list[complex]:
             moments[m + 1] = (phase / a**m + 1j * moments[m]) / m
         return moments
     # I[top] ~ i e^{ia} a^-top sum_k (top)_k (-i/a)^k, summed up to its smallest
-    # term (~1e-18 relative at a = 60, top = 6), then recurred downward.
+    # term (~6e-21 relative at a = 60, top = 4), then recurred downward.
     term = 1j * phase / a**top
     total = term
     for j in range(int(a) - top):
@@ -336,18 +340,19 @@ def radial_reference(weight_power: float, l: int, k: float, lambda0: float) -> f
 def _rho_values(k: float, lambda0: float) -> tuple[dict, dict]:
     a = _validate_kl(0, k, lambda0)
     if a >= SICI_SWITCH_A:
-        moments = _sin_cos_moments(a, 6)
-        rho_a = {0: _sin_cos_integral(0, 1, moments), 2: _sin_cos_integral(2, 1, moments)}
-        rho_b = {1: _sin_cos_integral(1, 2, moments), 3: _sin_cos_integral(3, 2, moments)}
-        return rho_a, rho_b
+        moments = _sin_cos_moments(a, 4)
+        sin_a, cos_a = math.sin(a), math.cos(a)
+        rho_a = {0: _sin_cos_integral(0, 1, moments), 2: (sin_a / a - cos_a) / a**2}
+        rho_b3 = ((3.0 / a**2 - 1.0) * sin_a - 3.0 * cos_a / a) / a**3
+        return rho_a, {1: _sin_cos_integral(1, 2, moments), 3: rho_b3}
     rho_a0 = _sin_cos_integral(0, 1, _sin_cos_moments(a, 2))
-    rho_a = {0: rho_a0, 2: radial_A_closed(2, k, lambda0)}
+    # j_1(a)/a = 0F1(; 5/2; -a^2/4) / 3 and j_2(a)/a^2 = 0F1(; 7/2; -a^2/4) / 15,
+    # each written as a 1F2 whose first parameters cancel.
+    rho_a2 = hyp1f2(1.0, 1.0, 2.5, -0.25 * a * a) / 3.0
+    rho_b3 = hyp1f2(1.0, 1.0, 3.5, -0.25 * a * a) / 15.0
     # rho_B(1) = (rho_A(0) + j_1(a)/a) / 3 (differentiate both sides); the
     # sine/cosine form of rho_B(1) would cancel like 1/a^2 here.
-    # j_1(a)/a = 0F1(; 5/2; -a^2/4) / 3, written as a 1F2 whose first parameters cancel.
-    j1_over_a = hyp1f2(1.0, 1.0, 2.5, -0.25 * a * a) / 3.0
-    rho_b = {1: (rho_a0 + j1_over_a) / 3.0, 3: radial_B_closed(3, k, lambda0)}
-    return rho_a, rho_b
+    return {0: rho_a0, 2: rho_a2}, {1: (rho_a0 + rho_a2) / 3.0, 3: rho_b3}
 
 
 def radial_coefficients(kin: "ScatteringKinematics") -> RadialCoefficients:
@@ -357,11 +362,12 @@ def radial_coefficients(kin: "ScatteringKinematics") -> RadialCoefficients:
     B(l, m) = i^l k Y_lm(khat) rho_B(l) for l in {1, 3},
 
     where k and khat are the magnitude and direction of the momentum
-    transfer. With a = k * lambda0, every radial factor comes from the sine
-    and cosine integrals, except below a = 2 (SICI_SWITCH_A): there rho_A(2)
-    and rho_B(3) come from the 1F2 closed form and rho_B(1) from rho_A(0)
-    and j_1(a). Panel quadrature is never called; it is an oracle for tests
-    and selfcheck. a > 1e3 raises ValueError.
+    transfer. With a = k * lambda0, rho_A(2) = j_1(a)/a and rho_B(3) =
+    j_2(a)/a^2 are elementary (their 0F1 series below a = 2, SICI_SWITCH_A);
+    rho_A(0) comes from the sine and cosine integrals, and so does rho_B(1)
+    from a = 2 on, below which it is (rho_A(0) + j_1(a)/a) / 3. Panel
+    quadrature and the 1F2 closed forms are never called; they are oracles
+    for tests and selfcheck. a > 1e3 raises ValueError.
     """
     k = kin.q_mag
     lambda0 = kin.lambda0

@@ -50,7 +50,12 @@ def gamma_ratio(numerator_arg: float, denominator_arg: float) -> float:
     return float(sign * math.exp(gammaln(numerator_arg) - gammaln(denominator_arg)))
 
 
-def hyp1f2(a: float, b1: float, b2: float, z: float, *, rtol: float = 1e-14, max_terms: int = 10_000) -> float:
+#: hyp1f2 stops once a term falls below _HYP_RTOL of the partial sum, and
+#: raises NonConvergent after _HYP_MAX_TERMS terms.
+_HYP_RTOL, _HYP_MAX_TERMS = 1e-14, 10_000
+
+
+def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
     """Generalized hypergeometric series 1F2(a; b1, b2; z).
 
     Direct power-series summation with a term-ratio stopping rule. The series
@@ -64,12 +69,12 @@ def hyp1f2(a: float, b1: float, b2: float, z: float, *, rtol: float = 1e-14, max
         raise ValueError(f"|z| <= 1e4 required for direct summation, got z = {z}")
     term = 1.0
     total = 1.0
-    for n in range(max_terms):
+    for n in range(_HYP_MAX_TERMS):
         term *= (a + n) * z / ((b1 + n) * (b2 + n) * (n + 1))
         total += term
-        if abs(term) <= rtol * max(abs(total), 1e-300) and n > 2:
+        if abs(term) <= _HYP_RTOL * max(abs(total), 1e-300) and n > 2:
             return total
-    raise NonConvergent(f"1F2 series did not converge within {max_terms} terms")
+    raise NonConvergent(f"1F2 series did not converge within {_HYP_MAX_TERMS} terms")
 
 
 @lru_cache(maxsize=None)

@@ -138,8 +138,6 @@ def test_monomial_validation():
         DirectionCosineMonomial((-1, 0, 0))
     with pytest.raises(ValueError):
         DirectionCosineMonomial((1, 0))
-    with pytest.raises(ValueError):
-        sphere_quadrature_bracket(DirectionCosineMonomial((1, 0, 0)), {(1, -1): 1.0, (1, 1): 1.0}, l_max=2)
 
 
 def test_monomial_evaluate_is_array_friendly():

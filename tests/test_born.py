@@ -210,6 +210,20 @@ def test_bruteforce_validation():
         vni_bruteforce(TorusKnot(2, 3), low, r_max=200.0, grid_spec=BruteforceGrid(field="biot-savart"))
 
 
+@pytest.mark.parametrize("lambda0", [1.0, 3.0])
+def test_cutoff_sphere_that_cuts_the_curve_is_refused(lambda0):
+    # torus:2,3 reaches radius 3, where the multipole expansion stops converging
+    kin = ScatteringKinematics(k_i=KIN.k_i, k_n=KIN.k_n, lambda0=lambda0)
+    with pytest.raises(ValueError, match="enclose"):
+        born_amplitude(TorusKnot(2, 3), kin)
+    with pytest.raises(ValueError, match="enclose"):
+        triad_amplitude(2, 3, kin)
+    with pytest.raises(ValueError, match="enclose"):
+        factorization_residual(2, 3, [KIN, kin])
+    with pytest.raises(ValueError, match="enclose"):
+        vni_bruteforce(TorusKnot(2, 3), kin, r_max=200.0)
+
+
 def test_random_kinematics_are_on_shell_and_reproducible():
     kins = random_kinematics(np.random.default_rng(8), 0.9, 3.0, 6)
     assert len(kins) == 6

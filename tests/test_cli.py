@@ -176,6 +176,22 @@ def test_factorize_pass_and_fail(capsys):
     assert document["residual"] > 1e-3
 
 
+@pytest.mark.parametrize("lambda0", ["1.0", "3.0"])
+@pytest.mark.parametrize("command", ["amplitude", "sweep", "factorize"])
+def test_cutoff_inside_the_curve_is_config_error(capsys, command, lambda0):
+    code, out, err = run_cli(capsys, *SUBCOMMAND_ARGV[command], "--lambda0", lambda0)
+    assert code == 2
+    assert out == ""
+    assert "enclose" in err
+
+
+def test_factorize_rejects_zero_coupling(capsys):
+    code, out, err = run_cli(capsys, "factorize", "--p", "2", "--q", "3", "--n", "3", "--coupling", "0")
+    assert code == 2
+    assert out == ""
+    assert "coupling" in err
+
+
 def test_factorize_rejects_non_coprime(capsys):
     code, _, err = run_cli(capsys, "factorize", "--p", "2", "--q", "4")
     assert code == 2

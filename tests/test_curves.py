@@ -20,7 +20,7 @@ from knotscatter import (
     sampled_from_json,
     sampled_from_spec,
 )
-from knotscatter.curves import moment_samples, sample_curve
+from knotscatter.curves import check_cutoff, moment_samples, sample_curve
 from knotscatter.multipole import quadrupole_moments
 
 TWO_PI = 2.0 * math.pi
@@ -191,3 +191,30 @@ def test_sampled_curve_hash_is_stable_and_cached():
     hits = quadrupole_moments.cache_info().hits
     assert quadrupole_moments(twin) is quadrupole_moments(curve)
     assert quadrupole_moments.cache_info().hits == hits + 2
+
+
+def test_check_cutoff_on_the_presets():
+    # both reach radius exactly 3; the certified grid margin grows with the
+    # bandwidth (5 for the knot, 1 for the circle)
+    for lambda0 in (1.0, 3.0, 3.0005):
+        with pytest.raises(ValueError, match="enclose"):
+            check_cutoff(TorusKnot(2, 3), lambda0)
+    check_cutoff(TorusKnot(2, 3), 3.001)
+    with pytest.raises(ValueError, match="enclose"):
+        check_cutoff(UnknotXY(), 3.0)
+    check_cutoff(UnknotXY(), 3.0005)
+
+
+def test_check_cutoff_sees_a_maximum_between_grid_points():
+    rng = np.random.default_rng(0)
+    curve = SampledCurve.from_array(rng.normal(size=(int(rng.integers(8, 40)), 3)))
+    _, pos, _ = sample_curve(curve, 1024)
+    radii = np.sqrt((pos**2).sum(axis=1))
+    # refine around the grid maximum: the interpolant peaks between grid points
+    tau = (int(radii.argmax()) + np.linspace(-1.0, 1.0, 20001)) * (TWO_PI / 1024)
+    local, _ = curve._eval_arrays(tau)
+    peak = float(np.sqrt((local**2).sum(axis=1)).max())
+    assert peak > (1.0 + 1e-5) * radii.max()
+    with pytest.raises(ValueError, match="enclose"):
+        check_cutoff(curve, peak * (1.0 - 1e-9))
+    check_cutoff(curve, 1.01 * peak)

@@ -168,7 +168,7 @@ def test_biot_savart_kernel_matches_a_cross_product_sum(n_points):
     rng = np.random.default_rng(5)
     directions = rng.normal(size=(n_points, 3))
     points = rng.uniform(4.0, 40.0, (n_points, 1)) * directions / np.linalg.norm(directions, axis=1)[:, None]
-    got = _biot_savart_batch(spec, points, 4096, 1.0)
+    got = _biot_savart_batch(spec, points, 4096)
     want = _cross_product_potential(spec, points, 4096)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -235,21 +235,6 @@ def test_line_integral_sample_count_converged():
     coarse = biot_savart_dipole_line(spec, point, n_samples=256).vector
     fine = biot_savart_dipole_line(spec, point, n_samples=4096).vector
     np.testing.assert_allclose(coarse, fine, atol=1e-12)
-
-
-def test_prefactor_scales_both_field_evaluations():
-    spec = TorusKnot(2, 3)
-    quad = quadrupole_moments(spec)
-    octo = octopole_moments(spec)
-    point = FieldPoint.from_cartesian(25.0, -10.0, 14.0)
-    base = multipole_potential(quad, octo, point).vector
-    np.testing.assert_allclose(
-        multipole_potential(quad, octo, point, prefactor=-2.0).vector, -2.0 * base, rtol=1e-14
-    )
-    exact = biot_savart_dipole_line(spec, point).vector
-    np.testing.assert_allclose(
-        biot_savart_dipole_line(spec, point, prefactor=3.0).vector, 3.0 * exact, rtol=1e-14
-    )
 
 
 def test_points_on_or_near_the_curve_are_rejected():

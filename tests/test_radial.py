@@ -290,10 +290,13 @@ def test_closed_forms_hold_up_to_their_limit(l, s):
 def test_amplitude_path_never_uses_panel_quadrature(monkeypatch):
     import knotscatter.radial as radial
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("radial_quadrature reached from the amplitude path")
+    # the panel quadrature and the 1F2 closed forms are oracles only
+    for name in ("radial_quadrature", "radial_A_closed", "radial_B_closed", "gamma_ratio"):
 
-    monkeypatch.setattr(radial, "radial_quadrature", forbidden)
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} reached from the amplitude path")
+
+        monkeypatch.setattr(radial, name, forbidden)
     for a in (1e-3, 0.5, 1.9, 2.0, 14.0, 47.0, 200.0, 999.0):
         _rho_values(a / LAMBDA0, LAMBDA0)
 
