@@ -7,140 +7,50 @@ line integral and far-field multipole truncation), and the first-order
 scattering matrix element of a charged particle off that potential, and
 verifies numerically that the torus-knot amplitude factorizes into three
 unknot amplitudes weighted by p/2 and -q/2.
+
+The independent oracles that check these results, and the selfcheck suite,
+live in knotscatter.oracles. Its sphere_quadrature_bracket is re-exported
+here because perfbench/oracles.py reads it from the package.
 """
 
-from .angular import (
-    TABULATED_BRACKETS,
-    TABULATED_VARIANTS,
-    TRIPLE_PRODUCT_IDENTITIES,
-    DirectionCosineMonomial,
-    HarmonicExpansion,
-    angular_bracket,
-    discrepancy_report,
-    monomial_expansion,
-    sphere_quadrature_bracket,
-    triple_product_residual,
-)
+from .angular import DirectionCosineMonomial
 from .born import (
     BornAmplitude,
-    BruteforceGrid,
     ScatteringKinematics,
-    amplitude_to_dict,
     born_amplitude,
     factorization_residual,
     random_kinematics,
     triad_amplitude,
-    vni_bruteforce,
-    vni_octopole,
-    vni_quadrupole,
 )
-from .curves import (
-    CurvePoint,
-    KnotSpec,
-    SampledCurve,
-    TorusKnot,
-    UnknotXY,
-    UnknotXZ,
-    UnknotYZ,
-    eval_curve,
-    min_enclosing_radius,
-    sample_curve,
-    sampled_from_json,
-    sampled_from_spec,
-)
-from .multipole import (
-    OctopoleMoments,
-    QuadrupoleMoments,
-    dipole_moment,
-    moments_to_dict,
-    octopole_moments,
-    quadrupole_moments,
-)
-from .potential import (
-    FieldPoint,
-    VectorPotentialValue,
-    biot_savart_dipole_line,
-    divergence_multipole,
-    multipole_potential,
-)
-from .radial import (
-    RadialCoefficients,
-    radial_A_closed,
-    radial_B_closed,
-    radial_coefficients,
-    radial_quadrature,
-    radial_reference,
-)
-from .specfun import (
-    DegenerateClosedForm,
-    NonConvergent,
-    clebsch_gordan,
-    gamma_ratio,
-    gaunt,
-    hyp1f2,
-    sphere_integral,
-    sphere_rule,
-    spherical_harmonic,
-)
+from .curves import KnotSpec, SampledCurve, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, sampled_from_json
+from .multipole import OctopoleMoments, QuadrupoleMoments, octopole_moments, quadrupole_moments
+from .oracles import sphere_quadrature_bracket
+from .potential import FieldPoint, VectorPotentialValue, biot_savart_dipole_line, multipole_potential
+from .specfun import NonConvergent
 
 __all__ = [
     "BornAmplitude",
-    "BruteforceGrid",
-    "CurvePoint",
-    "DegenerateClosedForm",
     "DirectionCosineMonomial",
     "FieldPoint",
-    "HarmonicExpansion",
     "KnotSpec",
     "NonConvergent",
     "OctopoleMoments",
     "QuadrupoleMoments",
-    "RadialCoefficients",
     "SampledCurve",
     "ScatteringKinematics",
-    "TABULATED_BRACKETS",
-    "TABULATED_VARIANTS",
-    "TRIPLE_PRODUCT_IDENTITIES",
     "TorusKnot",
     "UnknotXY",
     "UnknotXZ",
     "UnknotYZ",
     "VectorPotentialValue",
-    "amplitude_to_dict",
-    "angular_bracket",
     "biot_savart_dipole_line",
     "born_amplitude",
-    "clebsch_gordan",
-    "dipole_moment",
-    "discrepancy_report",
-    "divergence_multipole",
-    "eval_curve",
     "factorization_residual",
-    "gamma_ratio",
-    "gaunt",
-    "hyp1f2",
-    "min_enclosing_radius",
-    "moments_to_dict",
-    "monomial_expansion",
     "multipole_potential",
     "octopole_moments",
     "quadrupole_moments",
-    "radial_A_closed",
-    "radial_B_closed",
-    "radial_coefficients",
-    "radial_quadrature",
-    "radial_reference",
     "random_kinematics",
-    "sample_curve",
     "sampled_from_json",
-    "sampled_from_spec",
-    "sphere_integral",
     "sphere_quadrature_bracket",
-    "sphere_rule",
-    "spherical_harmonic",
     "triad_amplitude",
-    "triple_product_residual",
-    "vni_bruteforce",
-    "vni_octopole",
-    "vni_quadrupole",
 ]

@@ -16,10 +16,8 @@ four closed-form pieces:
     v3 = -(15/2)g sum_{j<=k<=l} [sum_i K_i O^i_{jkl}]  bracket(R_j R_k R_l, B)
     v4 = +(3/2)g  sum_p        [sum_i K_i Oc^i_p]      bracket(R_p, B)
 
-vni_bruteforce integrates the same volume integral directly (rotated-frame
-product quadrature plus oscillatory tail extrapolation) and serves as the
-end-to-end oracle. triad_amplitude assembles the factorized combination of
-three unknot amplitudes that the torus-knot amplitude is predicted to equal;
+triad_amplitude assembles the factorized combination of three unknot
+amplitudes that the torus-knot amplitude is predicted to equal;
 factorization_residual measures that claim on random kinematics. The energy
 delta function of the full S matrix is stripped throughout: everything here
 is the reduced on-shell element V_ni.
@@ -43,8 +41,7 @@ from .multipole import (
     octopole_moments,
     quadrupole_moments,
 )
-from .potential import _biot_savart_batch, _multipole_components
-from .radial import RadialCoefficients, _aitken_levels, radial_coefficients
+from .radial import RadialCoefficients, radial_coefficients
 
 #: Relative on-shell tolerance: inputs farther off the elastic shell are rejected.
 ON_SHELL_RTOL = 1e-12
@@ -298,114 +295,6 @@ def random_kinematics(
             continue
         samples.append(ScatteringKinematics(k_i=tuple(ki), k_n=tuple(kn), lambda0=lambda0))
     return samples
-
-
-@dataclass(frozen=True)
-class BruteforceGrid:
-    """Quadrature knobs for vni_bruteforce.
-
-    n_polar None sizes the rotated-axis Gauss-Legendre rule from the largest
-    phase q*r reached, including the extrapolation tail. field selects the
-    integrand potential: 'multipole' (matching the closed form's truncation)
-    or 'biot-savart' (exact line integral; slow, for smoke tests).
-    """
-
-    n_polar: int | None = None
-    n_azimuth: int = 32
-    radial_points: int = 12
-    tail_panels: int = 24
-    field: str = "multipole"
-
-    def __post_init__(self) -> None:
-        if self.field not in ("multipole", "biot-savart"):
-            raise ValueError(f"field must be 'multipole' or 'biot-savart', got {self.field!r}")
-        if self.n_azimuth < 8 or self.radial_points < 4 or self.tail_panels < 6:
-            raise ValueError("quadrature grid too coarse")
-
-
-def vni_bruteforce(
-    spec: KnotSpec,
-    kin: ScatteringKinematics,
-    g: float = 1.0,
-    r_max: float = 200.0,
-    grid_spec: BruteforceGrid | None = None,
-) -> complex:
-    """Direct volume quadrature of V_ni over lambda0 < r < infinity.
-
-    Integrates e^{i q.r} A~(x).K with the opposite order of operations from
-    the closed form: nothing here touches the harmonic expansion or the
-    radial coefficient maps. The frame is rotated so the polar axis lies
-    along qhat (the phase becomes e^{i q r u}); radii are covered by
-    Gauss-Legendre panels of half the phase period, out to r_max, and the
-    remaining tail is extrapolated from the alternating partial sums of
-    further panels. The slowly decaying integrand makes plain truncation at
-    r_max wrong at the percent level; the extrapolation removes that.
-    """
-    grid = grid_spec or BruteforceGrid()
-    if r_max < 30.0 * kin.lambda0:
-        raise ValueError(f"r_max must be at least 30 lambda0 = {30.0 * kin.lambda0}, got {r_max}")
-    check_cutoff(spec, kin.lambda0)
-    quad = quadrupole_moments(spec)
-    octo = octopole_moments(spec)
-    q_mag = kin.q_mag
-    q_hat = kin.q_hat
-    K = kin.K_vec
-
-    # orthonormal frame (e1, e2, q_hat)
-    helper = np.array([1.0, 0.0, 0.0]) if abs(q_hat[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(q_hat, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(q_hat, e1)
-
-    panel_width = math.pi / q_mag
-    n_base = int(math.ceil((r_max - kin.lambda0) / panel_width))
-    n_total = n_base + grid.tail_panels
-    r_end = kin.lambda0 + n_total * panel_width
-    n_polar = grid.n_polar or (int(0.55 * q_mag * r_end) + 40)
-
-    u, w_u = np.polynomial.legendre.leggauss(n_polar)
-    phi = np.arange(grid.n_azimuth) * (2.0 * math.pi / grid.n_azimuth)
-    w_phi = 2.0 * math.pi / grid.n_azimuth
-    sin_u = np.sqrt(1.0 - u**2)
-    # unit directions, shape (n_polar * n_azimuth, 3)
-    dirs = (
-        u[:, None, None] * q_hat[None, None, :]
-        + sin_u[:, None, None]
-        * (np.cos(phi)[None, :, None] * e1[None, None, :] + np.sin(phi)[None, :, None] * e2[None, None, :])
-    ).reshape(-1, 3)
-    phase_u = np.repeat(u, grid.n_azimuth)
-    weights = np.repeat(w_u, grid.n_azimuth) * w_phi
-
-    gl_r, gl_w = np.polynomial.legendre.leggauss(grid.radial_points)
-
-    def field_dot_k(radii: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        if grid.field == "multipole":
-            values = _multipole_components(quad, octo, radii, directions, "octopole")
-        else:
-            values = _biot_savart_batch(spec, radii[:, None] * directions, 2048)
-        return values @ K
-
-    def panel(lo: float, hi: float) -> complex:
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        total = 0.0 + 0.0j
-        for node, node_w in zip(gl_r, gl_w):
-            r = mid + half * node
-            phases = np.exp(1j * q_mag * r * phase_u)
-            integrand = field_dot_k(np.full(len(dirs), r), dirs)
-            total += half * node_w * r * r * np.sum(weights * phases * integrand)
-        return total
-
-    partial = np.empty(n_total, dtype=complex)
-    acc = 0.0 + 0.0j
-    for idx in range(n_total):
-        lo = kin.lambda0 + idx * panel_width
-        acc += panel(lo, lo + panel_width)
-        partial[idx] = acc
-
-    # tail extrapolation of the alternating panel sums beyond r_max
-    tail = partial[n_base - 1 :]
-    *_, limit = _aitken_levels(tail)
-    return complex(-g / (4.0 * math.pi) * limit)
 
 
 def amplitude_to_dict(kin: ScatteringKinematics, amp: BornAmplitude) -> dict:

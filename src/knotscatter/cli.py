@@ -7,7 +7,7 @@ potential  vector potential samples along a ray as CSV
 amplitude  one reduced matrix element as JSON
 sweep      seeded random kinematics sweep as CSV
 factorize  torus-knot factorization residual report as JSON
-selfcheck  internal oracle suite (radial, angular, far field) as JSON
+selfcheck  oracle checks of knotscatter.oracles.selfcheck as JSON
 
 Each subcommand accepts only the flags it reads; every one takes --out.
 
@@ -26,15 +26,8 @@ import sys
 
 import numpy as np
 
-from .angular import (
-    TABULATED_BRACKETS,
-    DirectionCosineMonomial,
-    discrepancy_report,
-    monomial_expansion,
-    triple_product_residual,
-)
+from . import oracles
 from .born import (
-    BornAmplitude,
     ScatteringKinematics,
     amplitude_to_dict,
     born_amplitude,
@@ -43,15 +36,7 @@ from .born import (
 )
 from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, moment_samples, sampled_from_json
 from .multipole import dipole_moment, moments_to_dict, octopole_moments, quadrupole_moments
-from .potential import (
-    FieldPoint,
-    _biot_savart_batch,
-    _multipole_components,
-    biot_savart_dipole_line,
-    divergence_multipole,
-    multipole_potential,
-)
-from .radial import radial_A_closed, radial_B_closed, radial_quadrature, radial_reference
+from .potential import FieldPoint, biot_savart_dipole_line, multipole_potential
 from .specfun import NonConvergent
 
 _PRESETS = {
@@ -248,125 +233,9 @@ def cmd_factorize(args) -> int:
     return 0 if passed else 1
 
 
-def _selfcheck_radial(lambda0: float) -> tuple[dict, dict]:
-    grid = (0.3, 0.5, 1.0, 2.0, 5.0, 10.0)
-    worst_closed = 0.0
-    for a in grid:
-        k = a / lambda0
-        quad_a = radial_quadrature(-1.5, 2, k, lambda0)
-        quad_b = radial_quadrature(-2.5, 3, k, lambda0) / k
-        worst_closed = max(
-            worst_closed,
-            abs(radial_A_closed(2, k, lambda0) - quad_a) / abs(quad_a),
-            abs(radial_B_closed(3, k, lambda0) - quad_b) / abs(quad_b),
-        )
-    closed = {
-        "name": "radial_closed_vs_quadrature",
-        "passed": bool(worst_closed <= 1e-7),
-        "worst_relative_error": worst_closed,
-        "tolerance": 1e-7,
-    }
-    worst_pair = 0.0
-    for a in grid:
-        k = a / lambda0
-        for power, l in ((-1.5, 0), (-2.5, 1)):
-            one = radial_quadrature(power, l, k, lambda0)
-            two = radial_reference(power, l, k, lambda0)
-            worst_pair = max(worst_pair, abs(one - two) / max(abs(two), 1e-30))
-    degenerate = {
-        "name": "radial_degenerate_two_schemes",
-        "passed": bool(worst_pair <= 1e-8),
-        "worst_relative_error": worst_pair,
-        "tolerance": 1e-8,
-    }
-    return closed, degenerate
-
-
-def _selfcheck_angular() -> tuple[dict, dict, dict]:
-    worst_table = 0.0
-    for exponents, table in TABULATED_BRACKETS.items():
-        computed = monomial_expansion(DirectionCosineMonomial(exponents)).terms
-        for key, value in table.items():
-            worst_table = max(worst_table, abs(complex(value) - complex(computed.get(key, 0.0))))
-    tables = {
-        "name": "angular_tables_vs_oracle",
-        "passed": bool(worst_table <= 1e-11),
-        "worst_absolute_error": worst_table,
-        "tolerance": 1e-11,
-    }
-    report = discrepancy_report()
-    discrepancies = {
-        "name": "tabulated_discrepancies",
-        "entries": report,
-        "note": "known alternate tabulated coefficient; informational unless --strict-tables",
-    }
-    rng = np.random.default_rng(2024)
-    worst_identity = 0.0
-    for _ in range(100):
-        theta = float(rng.uniform(0.01, math.pi - 0.01))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        worst_identity = max(worst_identity, triple_product_residual(theta, phi))
-    identities = {
-        "name": "triple_product_identities",
-        "passed": bool(worst_identity <= 1e-12),
-        "worst_pointwise_error": worst_identity,
-        "tolerance": 1e-12,
-    }
-    return tables, discrepancies, identities
-
-
-def _selfcheck_farfield() -> dict:
-    spec = TorusKnot(2, 3)
-    quad = quadrupole_moments(spec)
-    octo = octopole_moments(spec)
-    rng = np.random.default_rng(7)
-    radii = np.geomspace(30.0, 300.0, 8)
-    slopes = []
-    for _ in range(5):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        points = radii[:, None] * direction[None, :]
-        exact = _biot_savart_batch(spec, points, 4096)
-        truncated = _multipole_components(
-            quad, octo, radii, np.broadcast_to(direction, (len(radii), 3)), "octopole"
-        )
-        gap = np.linalg.norm(exact - truncated, axis=1)
-        slopes.append(float(np.polyfit(np.log(radii), np.log(gap), 1)[0]))
-    worst_div = 0.0
-    for _ in range(3):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        point = FieldPoint.from_cartesian(*(float(rng.uniform(15.0, 60.0)) * direction))
-        magnitude = multipole_potential(quad, octo, point).magnitude
-        worst_div = max(
-            worst_div, abs(divergence_multipole(quad, octo, point)) / (magnitude / point.r)
-        )
-    slope_ok = all(abs(s + 5.0) <= 0.3 for s in slopes)
-    return {
-        "name": "far_field_truncation",
-        "passed": bool(slope_ok and worst_div <= 1e-6),
-        "slopes": slopes,
-        "slope_target": [-5.3, -4.7],
-        "worst_scaled_divergence": worst_div,
-        "divergence_tolerance": 1e-6,
-    }
-
-
 def cmd_selfcheck(args) -> int:
     _positive("--lambda0", args.lambda0)
-    closed, degenerate = _selfcheck_radial(args.lambda0)
-    tables, discrepancies, identities = _selfcheck_angular()
-    farfield = _selfcheck_farfield()
-    checks = [closed, degenerate, tables, identities, farfield]
-    passed = all(check["passed"] for check in checks)
-    if args.strict_tables and discrepancies["entries"]:
-        passed = False
-    document = {
-        "checks": checks,
-        "discrepancies": discrepancies,
-        "strict_tables": bool(args.strict_tables),
-        "passed": bool(passed),
-    }
+    document, passed = oracles.selfcheck(args.lambda0, args.strict_tables)
     _emit_json(document, args.out)
     return 0 if passed else 1
 

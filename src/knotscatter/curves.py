@@ -270,18 +270,6 @@ def moment_samples(spec: KnotSpec) -> int:
     return max(8, 1 << (3 * spec.bandwidth).bit_length())
 
 
-def min_enclosing_radius(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> float:
-    """Radius of the smallest origin-centered sphere that bounds the curve.
-
-    Computed as max |r'(tau)| over the sample grid; equal to 3 for every
-    preset (the sample grid contains tau = 0, where the maximum occurs).
-    """
-    if n_samples < 64:
-        raise ValueError(f"need at least 64 samples for a radius bound, got {n_samples}")
-    _, pos, _ = sample_curve(spec, n_samples)
-    return float(np.sqrt((pos**2).sum(axis=1)).max())
-
-
 @lru_cache(maxsize=256)
 def check_cutoff(spec: KnotSpec, lambda0: float) -> None:
     """Raise ValueError unless the sphere r = lambda0 provably encloses the curve.

@@ -6,7 +6,7 @@ prefactor is 1, is the line integral
 
     A(x) = integral over the curve of  t'(tau) x (x - r'(tau)) / |x - r'(tau)|^3  dtau,
 
-computed exactly by biot_savart_dipole_line (the oracle). The far field is
+computed exactly by biot_savart_dipole_line. The far field is
 the multipole truncation through octopole order,
 
     A_i = (1/r^3) [ 3 sum_{j<=k} Q^i_{jk} R_j R_k + Q^i ]
@@ -160,22 +160,3 @@ def multipole_potential(
         quad, octo, np.array([point.r]), point.direction_cosines[None, :], order
     )[0]
     return VectorPotentialValue(ax=values[0], ay=values[1], az=values[2])
-
-
-def divergence_multipole(quad: QuadrupoleMoments, octo: OctopoleMoments, point: FieldPoint) -> float:
-    """Numerical divergence of the octopole-order potential by central differences.
-
-    The step is 1e-4 r. The exact field is divergence-free (Coulomb gauge),
-    so this should vanish to finite-difference accuracy.
-    """
-    x0 = point.cartesian
-    h = 1e-4 * point.r
-    total = 0.0
-    for axis in range(3):
-        offset = np.zeros(3)
-        offset[axis] = h
-        for sign in (+1.0, -1.0):
-            shifted = FieldPoint.from_cartesian(*(x0 + sign * offset))
-            value = multipole_potential(quad, octo, shifted)
-            total += sign * value.vector[axis] / (2.0 * h)
-    return total

@@ -1,10 +1,8 @@
 """Special functions and angular-momentum coefficients.
 
 Small, well-tested building blocks for the radial and angular reductions:
-spherical harmonics (Condon-Shortley phase), gamma ratios, the generalized
-hypergeometric series 1F2,
-exact Clebsch-Gordan coefficients, Gaunt coefficients, and a tensor-product
-quadrature rule on the 2-sphere used as the oracle for everything angular.
+spherical harmonics (Condon-Shortley phase), the generalized hypergeometric
+series 1F2, exact Clebsch-Gordan coefficients and Gaunt coefficients.
 """
 
 from __future__ import annotations
@@ -12,10 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
-import numpy as np
-from scipy.special import gammaln, gammasgn, sph_harm_y
+from scipy.special import sph_harm_y
 
 
 class DegenerateClosedForm(ValueError):
@@ -39,15 +35,6 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     if abs(m) > l:
         raise ValueError(f"|m| <= l required, got l={l}, m={m}")
     return sph_harm_y(l, m, theta, phi)
-
-
-def gamma_ratio(numerator_arg: float, denominator_arg: float) -> float:
-    """Gamma(a) / Gamma(b), evaluated stably in log space with signs."""
-    for arg in (numerator_arg, denominator_arg):
-        if arg <= 0 and float(arg).is_integer():
-            raise DegenerateClosedForm(f"gamma pole at argument {arg}")
-    sign = gammasgn(numerator_arg) * gammasgn(denominator_arg)
-    return float(sign * math.exp(gammaln(numerator_arg) - gammaln(denominator_arg)))
 
 
 #: hyp1f2 stops once a term falls below _HYP_RTOL of the partial sum, and
@@ -130,28 +117,3 @@ def gaunt(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
         * clebsch_gordan(l1, l2, 0, 0, L, 0)
         * clebsch_gordan(l1, l2, m1, m2, L, M)
     )
-
-
-@lru_cache(maxsize=8)
-def sphere_rule(n_polar: int = 50, n_azimuth: int = 128) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tensor-product quadrature nodes and weights on the 2-sphere.
-
-    Gauss-Legendre in cos(theta) crossed with a uniform trapezoid in phi.
-    Exact for spherical polynomials up to degree 2*n_polar - 1 in cos(theta)
-    and azimuthal frequency n_azimuth - 1. Returns (theta, phi, weights) as
-    broadcastable meshgrid arrays with sum(weights) = 4 pi.
-    """
-    u, w = np.polynomial.legendre.leggauss(n_polar)
-    theta = np.arccos(u)[:, None]
-    phi = (np.arange(n_azimuth) * (2.0 * math.pi / n_azimuth))[None, :]
-    weights = np.broadcast_to(w[:, None] * (2.0 * math.pi / n_azimuth), (n_polar, n_azimuth)).copy()
-    for arr in (theta, phi, weights):
-        arr.flags.writeable = False
-    return theta, phi, weights
-
-
-def sphere_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n_polar: int = 50, n_azimuth: int = 128) -> complex:
-    """Integral of f(theta, phi) over the unit sphere by the tensor rule."""
-    theta, phi, weights = sphere_rule(n_polar, n_azimuth)
-    values = f(theta, phi)
-    return complex((weights * values).sum())

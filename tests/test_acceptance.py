@@ -16,29 +16,30 @@ from knotscatter import (
     FieldPoint,
     SampledCurve,
     ScatteringKinematics,
-    TABULATED_BRACKETS,
     TorusKnot,
     UnknotXY,
     UnknotXZ,
     UnknotYZ,
-    angular_bracket,
     biot_savart_dipole_line,
     born_amplitude,
-    dipole_moment,
-    discrepancy_report,
-    divergence_multipole,
     factorization_residual,
-    monomial_expansion,
     multipole_potential,
     octopole_moments,
     quadrupole_moments,
+    random_kinematics,
+    sphere_quadrature_bracket,
+)
+from knotscatter.angular import angular_bracket, monomial_expansion
+from knotscatter.curves import sampled_from_spec
+from knotscatter.multipole import dipole_moment
+from knotscatter.oracles import (
+    TABULATED_BRACKETS,
+    discrepancy_report,
+    divergence_multipole,
     radial_A_closed,
     radial_B_closed,
     radial_quadrature,
     radial_reference,
-    random_kinematics,
-    sampled_from_spec,
-    sphere_quadrature_bracket,
     triple_product_residual,
     vni_bruteforce,
 )

@@ -7,19 +7,18 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from knotscatter import (
-    BruteforceGrid,
     SampledCurve,
     ScatteringKinematics,
     TorusKnot,
     UnknotXY,
-    amplitude_to_dict,
     born_amplitude,
     factorization_residual,
     random_kinematics,
-    sampled_from_spec,
     triad_amplitude,
-    vni_bruteforce,
 )
+from knotscatter.born import amplitude_to_dict
+from knotscatter.curves import sampled_from_spec
+from knotscatter.oracles import BruteforceGrid, vni_bruteforce
 
 KIN = ScatteringKinematics.from_angles(0.5, 0.4, 1.1, 2.0, -0.6)
 
@@ -166,9 +165,9 @@ def test_bruteforce_oracle_matches_closed_form():
 
 
 #: vni_bruteforce(TorusKnot(2, 3), KIN_K8, r_max=200.0), frozen because it takes
-#: ~170 s; recompute with
-#:   PYTHONPATH=src python -c "import knotscatter as ks; print(ks.vni_bruteforce(ks.TorusKnot(2, 3),
-#:   ks.ScatteringKinematics.from_angles(8.0, 0.4, 1.1, 2.0, -0.6), r_max=200.0))"
+#: ~30 s; recompute with
+#:   PYTHONPATH=src python -c "import knotscatter as ks, knotscatter.oracles as o; print(o.vni_bruteforce(
+#:   ks.TorusKnot(2, 3), ks.ScatteringKinematics.from_angles(8.0, 0.4, 1.1, 2.0, -0.6), r_max=200.0))"
 BRUTEFORCE_K8 = -0.04962321864402534 + 1.942399138630706e-17j
 KIN_K8 = ScatteringKinematics.from_angles(8.0, 0.4, 1.1, 2.0, -0.6)
 

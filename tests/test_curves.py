@@ -9,18 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotscatter import (
-    SampledCurve,
-    TorusKnot,
-    UnknotXY,
-    UnknotXZ,
-    UnknotYZ,
-    eval_curve,
-    min_enclosing_radius,
-    sampled_from_json,
-    sampled_from_spec,
-)
-from knotscatter.curves import check_cutoff, moment_samples, sample_curve
+from knotscatter import SampledCurve, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, sampled_from_json
+from knotscatter.curves import check_cutoff, eval_curve, moment_samples, sample_curve, sampled_from_spec
 from knotscatter.multipole import quadrupole_moments
 
 TWO_PI = 2.0 * math.pi
@@ -93,15 +83,6 @@ def test_even_sample_count_keeps_interpolant_real():
     np.testing.assert_allclose(approx.derivative, exact.derivative, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [TorusKnot(2, 3), TorusKnot(3, 4), UnknotXY(), UnknotXZ(), UnknotYZ()],
-    ids=lambda s: s.label(),
-)
-def test_min_enclosing_radius_is_three(spec):
-    assert abs(min_enclosing_radius(spec) - 3.0) < 1e-12
-
-
 def test_labels():
     assert TorusKnot(2, 3).label() == "torus:2,3"
     assert UnknotXY().label() == "unknot-xy"
@@ -132,8 +113,6 @@ def test_validation_errors():
         eval_curve(UnknotXY(), math.inf)
     with pytest.raises(ValueError):
         sample_curve(UnknotXY(), 4)
-    with pytest.raises(ValueError):
-        min_enclosing_radius(UnknotXY(), 32)
     with pytest.raises(ValueError):
         sampled_from_json({"vertices": []})
 
@@ -194,15 +173,22 @@ def test_sampled_curve_hash_is_stable_and_cached():
 
 
 def test_check_cutoff_on_the_presets():
-    # both reach radius exactly 3; the certified grid margin grows with the
-    # bandwidth (5 for the knot, 1 for the circle)
+    # every preset reaches radius exactly 3; the certified grid margin grows
+    # with the bandwidth (5 and 7 for the knots, 1 for the circles)
     for lambda0 in (1.0, 3.0, 3.0005):
         with pytest.raises(ValueError, match="enclose"):
             check_cutoff(TorusKnot(2, 3), lambda0)
     check_cutoff(TorusKnot(2, 3), 3.001)
-    with pytest.raises(ValueError, match="enclose"):
-        check_cutoff(UnknotXY(), 3.0)
-    check_cutoff(UnknotXY(), 3.0005)
+    for spec in (UnknotXY(), UnknotXZ(), UnknotYZ()):
+        with pytest.raises(ValueError, match="enclose"):
+            check_cutoff(spec, 3.0)
+        check_cutoff(spec, 3.0005)
+        check_cutoff(spec, 3.001)
+    # bandwidth 7: the margin pi B 2^-16 = 3.4e-4 relative puts 3.001 inside it
+    for lambda0 in (3.0, 3.001):
+        with pytest.raises(ValueError, match="enclose"):
+            check_cutoff(TorusKnot(3, 4), lambda0)
+    check_cutoff(TorusKnot(3, 4), 3.002)
 
 
 def test_check_cutoff_sees_a_maximum_between_grid_points():

@@ -21,14 +21,11 @@ from knotscatter import (
     UnknotXY,
     UnknotXZ,
     UnknotYZ,
-    dipole_moment,
-    moments_to_dict,
     octopole_moments,
     quadrupole_moments,
-    sampled_from_spec,
 )
-from knotscatter.curves import TWO_PI, sample_curve
-from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
+from knotscatter.curves import TWO_PI, sample_curve, sampled_from_spec
+from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES, dipole_moment, moments_to_dict
 
 PI = math.pi
 

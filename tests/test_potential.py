@@ -14,14 +14,13 @@ from knotscatter import (
     UnknotXZ,
     UnknotYZ,
     biot_savart_dipole_line,
-    divergence_multipole,
     multipole_potential,
     octopole_moments,
     quadrupole_moments,
-    sampled_from_spec,
 )
-from knotscatter.curves import sample_curve
+from knotscatter.curves import sample_curve, sampled_from_spec
 from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
+from knotscatter.oracles import divergence_multipole
 from knotscatter.potential import MIN_CURVE_DISTANCE, _biot_savart_batch, _multipole_components
 
 

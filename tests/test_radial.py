@@ -9,6 +9,9 @@ The production scheme (radial._rho_values) is checked against an mpmath
 sine/cosine-integral evaluation over the whole accepted range of a.
 """
 
+import ast
+import importlib
+import inspect
 import math
 import os
 import subprocess
@@ -22,17 +25,24 @@ from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
 from knotscatter import (
-    DegenerateClosedForm,
     NonConvergent,
     ScatteringKinematics,
+    TorusKnot,
+    born_amplitude,
+    factorization_residual,
+    oracles,
+    triad_amplitude,
+)
+from knotscatter.oracles import (
+    CLOSED_FORM_MAX_A,
+    _bessel_zeros_from,
     radial_A_closed,
     radial_B_closed,
-    radial_coefficients,
     radial_quadrature,
     radial_reference,
 )
-from knotscatter.radial import CLOSED_FORM_MAX_A, _bessel_zeros_from, _rho_values
-from knotscatter.specfun import spherical_harmonic
+from knotscatter.radial import _rho_values, radial_coefficients
+from knotscatter.specfun import DegenerateClosedForm, spherical_harmonic
 
 LAMBDA0 = 3.5
 
@@ -288,17 +298,33 @@ def test_closed_forms_hold_up_to_their_limit(l, s):
 
 
 def test_amplitude_path_never_uses_panel_quadrature(monkeypatch):
-    import knotscatter.radial as radial
+    # the panel quadrature, the 1F2 closed forms and every other oracle live
+    # in knotscatter.oracles, and no layer module binds one of their names
+    defined = set()
+    for node in ast.parse(inspect.getsource(oracles)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in defined if not name.startswith("_")}
+    assert {"radial_quadrature", "radial_A_closed", "radial_B_closed", "gamma_ratio"} <= public
+    for layer in ("curves", "multipole", "potential", "radial", "specfun", "angular", "born"):
+        module = importlib.import_module(f"knotscatter.{layer}")
+        assert not public & set(vars(module)), layer
+    for name in public:
+        if inspect.isfunction(getattr(oracles, name)):
 
-    # the panel quadrature and the 1F2 closed forms are oracles only
-    for name in ("radial_quadrature", "radial_A_closed", "radial_B_closed", "gamma_ratio"):
+            def forbidden(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} reached from the amplitude path")
 
-        def forbidden(*args, name=name, **kwargs):
-            raise AssertionError(f"{name} reached from the amplitude path")
-
-        monkeypatch.setattr(radial, name, forbidden)
+            monkeypatch.setattr(oracles, name, forbidden)
+    unit = ScatteringKinematics.from_angles(1.0, 0.4, 1.1, 2.0, -0.6, LAMBDA0)
     for a in (1e-3, 0.5, 1.9, 2.0, 14.0, 47.0, 200.0, 999.0):
-        _rho_values(a / LAMBDA0, LAMBDA0)
+        k = a / (unit.q_mag * LAMBDA0)
+        kin = ScatteringKinematics.from_angles(k, 0.4, 1.1, 2.0, -0.6, LAMBDA0)
+        assert math.isfinite(abs(born_amplitude(TorusKnot(2, 3), kin).total))
+        assert math.isfinite(abs(triad_amplitude(2, 3, kin).total))
+        assert factorization_residual(2, 3, [kin]) < 1e-8
 
 
 def test_import_does_not_load_scipy_optimize():

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotscatter import (
+from knotscatter.oracles import gamma_ratio, sphere_integral, sphere_rule
+from knotscatter.specfun import (
     DegenerateClosedForm,
     clebsch_gordan,
-    gamma_ratio,
     gaunt,
     hyp1f2,
-    sphere_integral,
-    sphere_rule,
     spherical_harmonic,
 )
 
