@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.5)
     p.add_argument("--method", choices=("multipole", "biot-savart", "both"), default="both")
     p.add_argument("--order", choices=("quadrupole", "octopole"), default="octopole")
-    p.add_argument("--samples", type=int, default=2048, help="Biot-Savart curve samples (default 2048)")
+    p.add_argument("--samples", type=int, default=2048, help="Biot-Savart curve samples, at least 4B (default 2048)")
     add_shared(p, "--out")
     p.set_defaults(func=cmd_potential)
 

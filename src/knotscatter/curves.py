@@ -12,9 +12,11 @@ radius 3:
 
 Arbitrary closed curves enter as ``SampledCurve``, an ordered list of points
 interpolated trigonometrically, so every operation here retains spectral
-accuracy for smooth data. ``sample_curve`` resamples it by a folded inverse
-FFT, exact to round-off. Every curve is a trigonometric polynomial of known
-``bandwidth``, and ``moment_samples`` gives the grid that makes moments exact.
+accuracy for smooth data. Every curve states one thing, its Fourier spectrum
+(``KnotSpec._spectrum``); its ``bandwidth`` is the highest frequency there,
+``sample_curve`` folds the spectrum onto a grid and takes one inverse FFT,
+exact to round-off, and ``moment_samples`` gives the grid that makes moments
+exact.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: Default number of equally spaced parameter samples. Comfortably beyond
-#: the Nyquist limit for every preset with p, q up to 100.
-DEFAULT_SAMPLES = 1024
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -45,25 +43,66 @@ class CurvePoint:
 class KnotSpec:
     """Base class for closed-curve descriptions.
 
-    Subclasses set ``bandwidth`` and implement :meth:`_eval_arrays`, mapping an
-    array of parameter values to stacked positions and derivatives. Instances
-    are immutable and hashable, which lets expensive derived quantities
-    (moments, samples) be cached per spec.
+    A curve is a trigonometric polynomial r'(tau) = sum_f c_f exp(i f tau).
+    Subclasses implement only :meth:`_spectrum`, returning the integer
+    frequencies f (n,) and the complex coefficient rows c_f (n, 3) of a real
+    curve; positions and derivatives anywhere, sample grids and the
+    ``bandwidth`` all derive from it. Instances are immutable and hashable,
+    which lets the spectrum and expensive derived quantities (moments,
+    samples) be cached per spec.
     """
 
-    #: Highest frequency of r'(tau) as a trigonometric polynomial; the moments
-    #: are exact only on a grid chosen from it, so it must not be understated.
-    bandwidth: int
-
-    def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _eval_grid(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # _eval_arrays on the full-period grid tau_j = 2*pi*j/len(tau)
-        return self._eval_arrays(tau)
+    @property
+    def bandwidth(self) -> int:
+        """Highest frequency max |f| of the spectrum; moment and Biot-Savart grids are chosen from it."""
+        return int(np.abs(_spectrum(self)[0]).max())
+
+    def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the direct trigonometric sum at arbitrary parameter values
+        freq, coef = _spectrum(self)
+        phases = np.exp(1j * np.multiply.outer(tau, freq))
+        pos = np.real(phases @ coef)
+        der = np.real(phases @ (1j * freq[:, None] * coef))
+        return pos, der
+
+    def _eval_grid(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        # On tau_j = 2*pi*j/m, exp(i f tau_j) depends on f only through f mod m:
+        # the spectrum folded onto m bins and one inverse FFT give the direct
+        # sum of _eval_arrays for any m, aliasing included when m <= 2B.
+        freq, coef = _spectrum(self)
+        folded = np.zeros((m, 6), dtype=complex)
+        np.add.at(folded, freq % m, np.hstack([coef, 1j * freq[:, None] * coef]))
+        values = np.fft.ifft(folded, axis=0).real * m
+        return values[:, :3], values[:, 3:]
 
     def label(self) -> str:
         return type(self).__name__
+
+
+@lru_cache(maxsize=64)
+def _spectrum(spec: KnotSpec) -> tuple[np.ndarray, np.ndarray]:
+    freq, coef = spec._spectrum()
+    freq.flags.writeable = False
+    coef.flags.writeable = False
+    return freq, coef
+
+
+def _real_modes(terms: Sequence[tuple[int, Sequence[complex]]]) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of r'(tau) = Re sum over terms (f, b_f) of b_f exp(i f tau).
+
+    Each term adds b_f/2 at f and conj(b_f)/2 at -f, so f = 0 and frequencies
+    shared by several terms are summed correctly.
+    """
+    top = max(abs(f) for f, _ in terms)
+    coef = np.zeros((2 * top + 1, 3), dtype=complex)
+    for f, b in terms:
+        b = np.asarray(b, dtype=complex)
+        coef[top + f] += 0.5 * b
+        coef[top - f] += 0.5 * b.conj()
+    return np.arange(-top, top + 1), coef
 
 
 @dataclass(frozen=True)
@@ -73,6 +112,9 @@ class TorusKnot(KnotSpec):
     x'(t) = (2 + cos(q t)) cos(p t)
     y'(t) = (2 + cos(q t)) sin(p t)
     z'(t) = -sin(q t)
+
+    As modes: x' + i y' = 2 e^{ipt} + (1/2) e^{i(p+q)t} + (1/2) e^{i(p-q)t}
+    and z' = Re(i e^{iqt}), so the bandwidth is p + q.
     """
 
     p: int
@@ -84,21 +126,11 @@ class TorusKnot(KnotSpec):
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"torus winding numbers must be coprime, got ({self.p}, {self.q})")
 
-    def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        # a term a e^{ift} of x' + i y' is Re of (a, -i a, 0) e^{ift}
         p, q = self.p, self.q
-        cq, sq = np.cos(q * tau), np.sin(q * tau)
-        cp, sp = np.cos(p * tau), np.sin(p * tau)
-        tube = 2.0 + cq
-        pos = np.stack([tube * cp, tube * sp, -sq], axis=-1)
-        der = np.stack(
-            [-q * sq * cp - p * tube * sp, -q * sq * sp + p * tube * cp, -q * cq],
-            axis=-1,
-        )
-        return pos, der
-
-    @property
-    def bandwidth(self) -> int:
-        return self.p + self.q
+        planar = [(f, (a, -1j * a, 0.0)) for f, a in ((p, 2.0), (p + q, 0.5), (p - q, 0.5))]
+        return _real_modes(planar + [(q, (0.0, 0.0, 1j))])
 
     def label(self) -> str:
         return f"torus:{self.p},{self.q}"
@@ -108,15 +140,8 @@ class TorusKnot(KnotSpec):
 class UnknotXY(KnotSpec):
     """Circle of radius 3 in the z = 0 plane: (3 cos t, 3 sin t, 0)."""
 
-    def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c, s = np.cos(tau), np.sin(tau)
-        zero = np.zeros_like(tau)
-        return (
-            np.stack([3.0 * c, 3.0 * s, zero], axis=-1),
-            np.stack([-3.0 * s, 3.0 * c, zero], axis=-1),
-        )
-
-    bandwidth = 1
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return _real_modes([(1, (3.0, -3j, 0.0))])
 
     def label(self) -> str:
         return "unknot-xy"
@@ -126,15 +151,8 @@ class UnknotXY(KnotSpec):
 class UnknotXZ(KnotSpec):
     """Unit circle offset along x: (2 + cos t, 0, sin t)."""
 
-    def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c, s = np.cos(tau), np.sin(tau)
-        zero = np.zeros_like(tau)
-        return (
-            np.stack([2.0 + c, zero, s], axis=-1),
-            np.stack([-s, zero, c], axis=-1),
-        )
-
-    bandwidth = 1
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return _real_modes([(0, (2.0, 0.0, 0.0)), (1, (1.0, 0.0, -1j))])
 
     def label(self) -> str:
         return "unknot-xz"
@@ -144,15 +162,8 @@ class UnknotXZ(KnotSpec):
 class UnknotYZ(KnotSpec):
     """Unit circle offset along y: (0, 2 + cos t, sin t)."""
 
-    def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c, s = np.cos(tau), np.sin(tau)
-        zero = np.zeros_like(tau)
-        return (
-            np.stack([zero, 2.0 + c, s], axis=-1),
-            np.stack([zero, -s, c], axis=-1),
-        )
-
-    bandwidth = 1
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return _real_modes([(0, (0.0, 2.0, 0.0)), (1, (0.0, 1.0, -1j))])
 
     def label(self) -> str:
         return "unknot-yz"
@@ -166,6 +177,7 @@ class SampledCurve(KnotSpec):
     Evaluation anywhere in [0, 2*pi) uses the trigonometric interpolant
     through the points, so a band-limited generating curve is reproduced to
     round-off and the derivative is the exact derivative of the interpolant.
+    Its bandwidth is N // 2 for N points.
     """
 
     points: tuple[tuple[float, float, float], ...]
@@ -193,47 +205,17 @@ class SampledCurve(KnotSpec):
         pts = np.asarray(self.points, dtype=float)
         n = len(pts)
         coef = np.fft.fft(pts, axis=0) / n
-        freq = np.fft.fftfreq(n, d=1.0 / n)
+        freq = np.fft.fftfreq(n, d=1.0 / n).round().astype(int)
         if n % 2 == 0:
             ny = n // 2
             coef = np.concatenate([coef, coef[ny : ny + 1]], axis=0)
             coef[ny] *= 0.5
             coef[-1] *= 0.5
-            freq = np.concatenate([freq, [n / 2.0]])
+            freq = np.concatenate([freq, [ny]])
         return freq, coef
-
-    def _eval_arrays(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        freq, coef = _sampled_spectrum(self)
-        phases = np.exp(1j * np.multiply.outer(tau, freq))
-        pos = np.real(phases @ coef)
-        der = np.real(phases @ (1j * freq[:, None] * coef))
-        return pos, der
-
-    def _eval_grid(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # On tau_j = 2*pi*j/m, exp(i f tau_j) depends on f only through f mod m:
-        # the spectrum folded onto m bins and one inverse FFT give the direct
-        # sum of _eval_arrays for any m, aliasing included when m < n.
-        freq, coef = _sampled_spectrum(self)
-        m = len(tau)
-        folded = np.zeros((m, 6), dtype=complex)
-        np.add.at(folded, np.rint(freq).astype(int) % m, np.hstack([coef, 1j * freq[:, None] * coef]))
-        values = np.fft.ifft(folded, axis=0).real * m
-        return values[:, :3], values[:, 3:]
-
-    @property
-    def bandwidth(self) -> int:  # an even n splits its Nyquist mode between +-n/2
-        return len(self.points) // 2
 
     def label(self) -> str:
         return f"sampled[{len(self.points)}]"
-
-
-@lru_cache(maxsize=64)
-def _sampled_spectrum(spec: SampledCurve) -> tuple[np.ndarray, np.ndarray]:
-    freq, coef = spec._spectrum()
-    freq.flags.writeable = False
-    coef.flags.writeable = False
-    return freq, coef
 
 
 def eval_curve(spec: KnotSpec, tau: float) -> CurvePoint:
@@ -245,17 +227,17 @@ def eval_curve(spec: KnotSpec, tau: float) -> CurvePoint:
 
 
 @lru_cache(maxsize=256)
-def sample_curve(spec: KnotSpec, n_samples: int = DEFAULT_SAMPLES) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_curve(spec: KnotSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Equally spaced samples (tau, positions, derivatives) of the curve.
 
     The grid tau_j = 2*pi*j/n underlies every periodic trapezoidal integral,
-    so the result is cached per (spec, n_samples). An N-point SampledCurve is
-    resampled by one folded inverse FFT, exact to round-off.
+    so the result is cached per (spec, n_samples). The spectrum folded onto
+    the grid and one inverse FFT give the samples, exact to round-off.
     """
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")
     tau = np.arange(n_samples) * (TWO_PI / n_samples)
-    pos, der = spec._eval_grid(tau)
+    pos, der = spec._eval_grid(n_samples)
     for arr in (tau, pos, der):
         arr.flags.writeable = False
     return tau, pos, der
@@ -274,16 +256,20 @@ def moment_samples(spec: KnotSpec) -> int:
 def check_cutoff(spec: KnotSpec, lambda0: float) -> None:
     """Raise ValueError unless the sphere r = lambda0 provably encloses the curve.
 
-    F = |r'(tau)|^2 is a trigonometric polynomial of degree 2B, so Bernstein's
-    inequality |F'| <= 2B max F bounds max F <= max_grid F / (1 - 2 pi B / M)
-    on an M-point grid (Zygmund, Trigonometric Series, ch. X). The grid
-    doubles from DEFAULT_SAMPLES until lambda0^2 clears that bound; the
-    cutoff is refused at or below max_grid F, or if the 2^16-point grid still
-    does not clear it, which refuses every curve of bandwidth B > 2^16 / 2 pi.
+    The sum of the coefficient norms, sum_f |c_f|, bounds max |r'| and accepts
+    any lambda0 above it at once. Below it, F = |r'(tau)|^2 is a trigonometric
+    polynomial of degree 2B, so Bernstein's inequality |F'| <= 2B max F bounds
+    max F <= max_grid F / (1 - 2 pi B / M) on an M-point grid (Zygmund,
+    Trigonometric Series, ch. X). The grid doubles from 1024 points until
+    lambda0^2 clears that bound; the cutoff is refused at or below max_grid F,
+    or if the 2^16-point grid still does not clear it, which happens for every
+    lambda0 below the coefficient bound once B > 2^16 / 2 pi.
     """
-    n_samples = DEFAULT_SAMPLES
+    if lambda0 > np.linalg.norm(_spectrum(spec)[1], axis=1).sum():
+        return
+    n_samples = 1024
     while n_samples <= 1 << 16:
-        pos, _ = spec._eval_grid(np.arange(n_samples) * (TWO_PI / n_samples))
+        pos, _ = spec._eval_grid(n_samples)
         grid_max = float((pos**2).sum(axis=1).max())
         if lambda0**2 <= grid_max:
             break

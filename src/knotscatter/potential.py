@@ -88,6 +88,11 @@ class VectorPotentialValue:
 
 def _biot_savart_batch(spec: KnotSpec, points: np.ndarray, n_samples: int) -> np.ndarray:
     """Exact line-integral potential at each row of points, shape (n, 3)."""
+    if n_samples < 4 * spec.bandwidth:
+        raise ValueError(
+            f"{n_samples} samples do not resolve a curve of bandwidth {spec.bandwidth}; "
+            f"the Biot-Savart grid needs at least 4 * bandwidth = {4 * spec.bandwidth}"
+        )
     _, pos, der = sample_curve(spec, n_samples)
     (px, py, pz), (tx, ty, tz) = pos.T, der.T
     out = np.empty_like(points, dtype=float)
@@ -115,7 +120,8 @@ def biot_savart_dipole_line(spec: KnotSpec, point: FieldPoint, n_samples: int = 
 
     No far-field approximation; this is the oracle the multipole form is
     tested against. Points within MIN_CURVE_DISTANCE of the curve are
-    rejected.
+    rejected, and so is a grid of fewer than 4 * spec.bandwidth samples,
+    which does not resolve the integrand of a dense curve.
     """
     values = _biot_savart_batch(spec, point.cartesian[None, :], n_samples)
     return VectorPotentialValue(ax=values[0, 0], ay=values[0, 1], az=values[0, 2])

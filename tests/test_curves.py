@@ -15,7 +15,16 @@ from knotscatter.multipole import quadrupole_moments
 
 TWO_PI = 2.0 * math.pi
 
-COPRIME_PAIRS = [(2, 3), (3, 2), (2, 5), (3, 4), (1, 1), (5, 3)]
+# (1, 1) has a mode at frequency p - q = 0 and (2, 1) one shared by p - q and q
+COPRIME_PAIRS = [(2, 3), (3, 2), (2, 5), (3, 4), (1, 1), (5, 3), (2, 1), (1, 2), (5, 7)]
+
+
+def _torus_closed_form(p, q, tau):
+    cq, sq, cp, sp = np.cos(q * tau), np.sin(q * tau), np.cos(p * tau), np.sin(p * tau)
+    tube = 2.0 + cq
+    pos = np.stack([tube * cp, tube * sp, -sq], axis=-1)
+    der = np.stack([-q * sq * cp - p * tube * sp, -q * sq * sp + p * tube * cp, -q * cq], axis=-1)
+    return pos, der
 
 
 def test_torus_knot_hand_values():
@@ -60,6 +69,24 @@ def test_derivative_matches_finite_difference(tau, pair):
     np.testing.assert_allclose(
         eval_curve(spec, tau).derivative, (ahead - behind) / (2.0 * h), atol=1e-6
     )
+
+
+@pytest.mark.parametrize("pair", COPRIME_PAIRS, ids=str)
+def test_torus_spectrum_matches_the_closed_form(pair):
+    # the preset states only its modes; positions and derivatives off the
+    # grid and on sample grids must equal the closed-form parametrization
+    spec = TorusKnot(*pair)
+    assert spec.bandwidth == sum(pair)
+    tau = np.random.default_rng(sum(pair)).uniform(0.0, TWO_PI, 50)
+    want_pos, want_der = _torus_closed_form(*pair, tau)
+    got_pos, got_der = spec._eval_arrays(tau)
+    np.testing.assert_allclose(got_pos, want_pos, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got_der, want_der, rtol=0, atol=1e-13 * sum(pair))
+    for n_samples in (moment_samples(spec), 1024):
+        grid, got_pos, got_der = sample_curve(spec, n_samples)
+        want_pos, want_der = _torus_closed_form(*pair, grid)
+        np.testing.assert_allclose(got_pos, want_pos, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got_der, want_der, rtol=0, atol=1e-13 * sum(pair))
 
 
 @pytest.mark.parametrize("n_points", [12, 64, 65])
@@ -138,7 +165,7 @@ def test_fft_grid_matches_the_direct_trigonometric_sum(n_points):
 
 
 @pytest.mark.parametrize(
-    "spec", [TorusKnot(2, 3), TorusKnot(5, 3), UnknotXY(), UnknotXZ(), UnknotYZ()], ids=lambda s: s.label()
+    "spec", [TorusKnot(*pair) for pair in COPRIME_PAIRS] + [UnknotXY(), UnknotXZ(), UnknotYZ()], ids=lambda s: s.label()
 )
 def test_preset_bandwidth_bounds_the_spectrum(spec):
     _, pos, der = sample_curve(spec, 64)
@@ -189,6 +216,19 @@ def test_check_cutoff_on_the_presets():
         with pytest.raises(ValueError, match="enclose"):
             check_cutoff(TorusKnot(3, 4), lambda0)
     check_cutoff(TorusKnot(3, 4), 3.002)
+
+
+def test_check_cutoff_accepts_a_dense_curve_inside_its_coefficient_bound():
+    # B = 10000 > 2^16 / 2 pi: the Bernstein margin of the largest grid is
+    # negative, so only the coefficient bound sum |c_f| = 3 sqrt(2) certifies it
+    tau = np.arange(20000) * (TWO_PI / 20000)
+    curve = SampledCurve.from_array(3.0 * np.stack([np.cos(tau), np.sin(tau), np.zeros_like(tau)], axis=1))
+    assert curve.bandwidth == 10000
+    check_cutoff(curve, 10.0)
+    check_cutoff(curve, 3.0 * math.sqrt(2.0) * (1.0 + 1e-9))
+    for lambda0 in (3.0, 3.2):
+        with pytest.raises(ValueError, match="enclose"):
+            check_cutoff(curve, lambda0)
 
 
 def test_check_cutoff_sees_a_maximum_between_grid_points():

@@ -236,6 +236,24 @@ def test_line_integral_sample_count_converged():
     np.testing.assert_allclose(coarse, fine, atol=1e-12)
 
 
+def test_biot_savart_refuses_a_grid_below_four_bandwidths():
+    # a noisy 1500-point curve has bandwidth 750; 2048 samples used to return
+    # potentials off by ~6e-5 relative without warning
+    tau = np.arange(1500) * (2.0 * math.pi / 1500)
+    tube = 2.0 + np.cos(3 * tau)
+    pos = np.stack([tube * np.cos(2 * tau), tube * np.sin(2 * tau), -np.sin(3 * tau)], axis=1)
+    curve = SampledCurve.from_array(pos + 0.05 * np.random.default_rng(0).normal(size=pos.shape))
+    directions = np.random.default_rng(1).normal(size=(4, 3))
+    points = 10.0 * directions / np.linalg.norm(directions, axis=1)[:, None]
+    with pytest.raises(ValueError, match="bandwidth 750"):
+        biot_savart_dipole_line(curve, FieldPoint.from_cartesian(*points[0]))
+    with pytest.raises(ValueError, match="bandwidth 750"):
+        _biot_savart_batch(curve, points, 2999)
+    got = np.array([biot_savart_dipole_line(curve, FieldPoint.from_cartesian(*x), 4096).vector for x in points])
+    want = _biot_savart_batch(curve, points, 1 << 16)
+    assert (np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)).max() < 1e-6
+
+
 def test_points_on_or_near_the_curve_are_rejected():
     with pytest.raises(ValueError):
         biot_savart_dipole_line(UnknotXY(), FieldPoint.from_cartesian(3.0, 0.0, 0.0))
