@@ -135,7 +135,7 @@ def cmd_potential(args) -> int:
             if method == "multipole":
                 value = multipole_potential(quad, octo, point, order=args.order)
             else:
-                value = biot_savart_dipole_line(spec, point, n_samples=int(args.samples))
+                value = biot_savart_dipole_line(spec, point)
             rows.append([float(r), args.theta, args.phi, value.ax, value.ay, value.az, method])
     _emit_csv(["r", "theta", "phi", "Ax", "Ay", "Az", "method"], rows, args.out)
     return 0
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.5)
     p.add_argument("--method", choices=("multipole", "biot-savart", "both"), default="both")
     p.add_argument("--order", choices=("quadrupole", "octopole"), default="octopole")
-    p.add_argument("--samples", type=int, default=2048, help="Biot-Savart curve samples, at least 4B (default 2048)")
     add_shared(p, "--out")
     p.set_defaults(func=cmd_potential)
 

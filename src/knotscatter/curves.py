@@ -262,13 +262,15 @@ def check_cutoff(spec: KnotSpec, lambda0: float) -> None:
     max F <= max_grid F / (1 - 2 pi B / M) on an M-point grid (Zygmund,
     Trigonometric Series, ch. X). The grid doubles from 1024 points until
     lambda0^2 clears that bound; the cutoff is refused at or below max_grid F,
-    or if the 2^16-point grid still does not clear it, which happens for every
-    lambda0 below the coefficient bound once B > 2^16 / 2 pi.
+    or if the last grid, max(2^16, the power of two at or above 8 pi B),
+    still does not clear it. On that grid the margin 1 - 2 pi B / M is at
+    least 3/4.
     """
     if lambda0 > np.linalg.norm(_spectrum(spec)[1], axis=1).sum():
         return
+    last = max(1 << 16, 1 << (math.ceil(4.0 * TWO_PI * spec.bandwidth) - 1).bit_length())
     n_samples = 1024
-    while n_samples <= 1 << 16:
+    while n_samples <= last:
         pos, _ = spec._eval_grid(n_samples)
         grid_max = float((pos**2).sum(axis=1).max())
         if lambda0**2 <= grid_max:
@@ -278,7 +280,7 @@ def check_cutoff(spec: KnotSpec, lambda0: float) -> None:
         n_samples *= 2
     raise ValueError(
         f"cutoff lambda0 = {lambda0} is not certified to enclose the curve "
-        f"(radius {grid_max**0.5:.6g} on a {min(n_samples, 1 << 16)}-point grid, bandwidth {spec.bandwidth})"
+        f"(radius {grid_max**0.5:.6g} on a {min(n_samples, last)}-point grid, bandwidth {spec.bandwidth})"
     )
 
 

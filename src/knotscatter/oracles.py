@@ -546,7 +546,7 @@ def vni_bruteforce(
     def field_dot_k(r: float) -> np.ndarray:
         if grid.field == "multipole":
             return a3 / r**3 + a4 / r**4
-        return _biot_savart_batch(spec, r * dirs, 2048) @ K
+        return _biot_savart_batch(spec, r * dirs) @ K
 
     def panel(lo: float, hi: float) -> complex:
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -668,7 +668,7 @@ def _selfcheck_farfield() -> dict:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         points = radii[:, None] * direction[None, :]
-        exact = _biot_savart_batch(spec, points, 4096)
+        exact = _biot_savart_batch(spec, points)
         truncated = _multipole_components(
             quad, octo, radii, np.broadcast_to(direction, (len(radii), 3)), "octopole"
         )

@@ -6,8 +6,9 @@ prefactor is 1, is the line integral
 
     A(x) = integral over the curve of  t'(tau) x (x - r'(tau)) / |x - r'(tau)|^3  dtau,
 
-computed exactly by biot_savart_dipole_line. The far field is
-the multipole truncation through octopole order,
+computed by biot_savart_dipole_line on a periodic trapezoid grid it chooses
+itself, refined near the curve until the error is round-off. The far field
+is the multipole truncation through octopole order,
 
     A_i = (1/r^3) [ 3 sum_{j<=k} Q^i_{jk} R_j R_k + Q^i ]
         + (1/r^4) [ (15/2) sum_{j<=k<=l} O^i_{jkl} R_j R_k R_l - (3/2) sum_p Oc^i_p R_p ],
@@ -22,14 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .curves import TWO_PI, KnotSpec, sample_curve
 from .multipole import PAIR_COLUMNS, TRIPLE_COLUMNS, OctopoleMoments, QuadrupoleMoments
 
-#: Field points closer than this to the curve are rejected (integrand blows up).
-MIN_CURVE_DISTANCE = 1e-6
+#: The finest Biot-Savart grid; points closer to the curve than it resolves are refused.
+MAX_SAMPLES = 1 << 20
+#: d M / max|r'| at which the trapezoid error of the line integral reaches round-off.
+RESOLVED_SPAN = 48.0
 
 
 @dataclass(frozen=True)
@@ -86,18 +90,25 @@ class VectorPotentialValue:
         return float(np.linalg.norm(self.vector))
 
 
-def _biot_savart_batch(spec: KnotSpec, points: np.ndarray, n_samples: int) -> np.ndarray:
-    """Exact line-integral potential at each row of points, shape (n, 3)."""
-    if n_samples < 4 * spec.bandwidth:
-        raise ValueError(
-            f"{n_samples} samples do not resolve a curve of bandwidth {spec.bandwidth}; "
-            f"the Biot-Savart grid needs at least 4 * bandwidth = {4 * spec.bandwidth}"
-        )
-    _, pos, der = sample_curve(spec, n_samples)
+def biot_savart_samples(spec: KnotSpec) -> int:
+    """First Biot-Savart grid: the smallest power of two at least max(2048, 4 * spec.bandwidth)."""
+    return max(2048, 1 << (4 * spec.bandwidth - 1).bit_length())
+
+
+@lru_cache(maxsize=256)
+def _max_speed(spec: KnotSpec) -> float:
+    # max |r'| on the first grid; the scalar alone is cached, the grid stays in sample_curve's cache
+    tx, ty, tz = sample_curve(spec, biot_savart_samples(spec))[2].T
+    return math.sqrt(float((tx * tx + ty * ty + tz * tz).max()))
+
+
+def _trapezoid_mean(points: np.ndarray, pos: np.ndarray, der: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """Grid mean of t x (x - r) / |x - r|^3 at each point, and the nearest point-to-node distance."""
     (px, py, pz), (tx, ty, tz) = pos.T, der.T
     out = np.empty_like(points, dtype=float)
+    nearest = math.inf
     # chunk the pairwise (points x curve samples) arrays to bound memory
-    chunk = max(1, int(2e6 / n_samples))
+    chunk = max(1, int(2e6 / len(pos)))
     for start in range(0, len(points), chunk):
         block = points[start : start + chunk]
         sx = block[:, 0, None] - px
@@ -105,25 +116,52 @@ def _biot_savart_batch(spec: KnotSpec, points: np.ndarray, n_samples: int) -> np
         sz = block[:, 2, None] - pz
         d2 = sx * sx + sy * sy + sz * sz
         dist = np.sqrt(d2)
-        if dist.min() <= MIN_CURVE_DISTANCE:
-            raise ValueError("field point lies on (or too close to) the curve")
+        nearest = min(nearest, float(dist.min()))
+        if nearest <= floor:
+            raise ValueError(
+                f"field point lies {nearest:.3g} from the curve, closer than the "
+                f"{MAX_SAMPLES}-sample grid resolves ({floor:.3g})"
+            )
         weight = 1.0 / (d2 * dist)
         # t x sep, component by component
         out[start : start + chunk, 0] = ((ty * sz - tz * sy) * weight).mean(axis=1)
         out[start : start + chunk, 1] = ((tz * sx - tx * sz) * weight).mean(axis=1)
         out[start : start + chunk, 2] = ((tx * sy - ty * sx) * weight).mean(axis=1)
-    return out * TWO_PI
+    return out, nearest
 
 
-def biot_savart_dipole_line(spec: KnotSpec, point: FieldPoint, n_samples: int = 2048) -> VectorPotentialValue:
+def _biot_savart_batch(spec: KnotSpec, points: np.ndarray) -> np.ndarray:
+    """Exact line-integral potential at each row of points, shape (n, 3).
+
+    The trapezoid error at distance d from the curve falls like
+    exp(-d M / max|r'|) on M samples, so the grid starts at
+    biot_savart_samples(spec) and doubles, or jumps to the power of two at
+    RESOLVED_SPAN * max|r'| / d, until d M >= RESOLVED_SPAN * max|r'| for the
+    nearest point. A point closer than MAX_SAMPLES resolves is refused.
+    """
+    speed = _max_speed(spec)
+    floor = RESOLVED_SPAN * speed / MAX_SAMPLES
+    n_samples = biot_savart_samples(spec)
+    _, pos, der = sample_curve(spec, n_samples)
+    while True:
+        values, nearest = _trapezoid_mean(points, pos, der, floor)
+        if nearest * n_samples >= RESOLVED_SPAN * speed:
+            return values * TWO_PI
+        needed = math.ceil(RESOLVED_SPAN * speed / nearest)
+        n_samples = max(2 * n_samples, 1 << (needed - 1).bit_length())
+        # refined grids bypass sample_curve's cache: they are large and used once
+        pos, der = spec._eval_grid(n_samples)
+
+
+def biot_savart_dipole_line(spec: KnotSpec, point: FieldPoint) -> VectorPotentialValue:
     """Exact potential of the dipole line by periodic-trapezoid quadrature.
 
     No far-field approximation; this is the oracle the multipole form is
-    tested against. Points within MIN_CURVE_DISTANCE of the curve are
-    rejected, and so is a grid of fewer than 4 * spec.bandwidth samples,
-    which does not resolve the integrand of a dense curve.
+    tested against. The grid is chosen from the curve and the point's
+    distance to it (see _biot_savart_batch); a point within
+    RESOLVED_SPAN * max|r'| / MAX_SAMPLES of the curve is refused.
     """
-    values = _biot_savart_batch(spec, point.cartesian[None, :], n_samples)
+    values = _biot_savart_batch(spec, point.cartesian[None, :])
     return VectorPotentialValue(ax=values[0, 0], ay=values[0, 1], az=values[0, 2])
 
 

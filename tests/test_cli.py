@@ -63,7 +63,7 @@ SUBCOMMAND_ARGV = {
 FLAG_VALUES = {"--samples": "64", "--lambda0": "3.5", "--coupling": "1.0", "--format": "json"}
 UNREAD_FLAGS = [
     ("moments", "--samples"), ("moments", "--lambda0"), ("moments", "--coupling"), ("moments", "--format"),
-    ("potential", "--lambda0"), ("potential", "--coupling"), ("potential", "--format"),
+    ("potential", "--samples"), ("potential", "--lambda0"), ("potential", "--coupling"), ("potential", "--format"),
     ("amplitude", "--samples"), ("amplitude", "--format"),
     ("sweep", "--samples"), ("sweep", "--format"),
     ("factorize", "--samples"), ("factorize", "--format"),

@@ -219,14 +219,18 @@ def test_check_cutoff_on_the_presets():
 
 
 def test_check_cutoff_accepts_a_dense_curve_inside_its_coefficient_bound():
-    # B = 10000 > 2^16 / 2 pi: the Bernstein margin of the largest grid is
-    # negative, so only the coefficient bound sum |c_f| = 3 sqrt(2) certifies it
+    # B = 10000 > 2^16 / 2 pi: a 2^16-point grid has a negative Bernstein
+    # margin, so the last grid grows to 2^18 >= 8 pi B, where the margin is
+    # 1 - 2 pi B / 2^18 = 0.76; below the coefficient bound sum |c_f| = 3 sqrt(2)
+    # that certifies lambda0^2 > 9 / 0.76, lambda0 > 3.44
     tau = np.arange(20000) * (TWO_PI / 20000)
     curve = SampledCurve.from_array(3.0 * np.stack([np.cos(tau), np.sin(tau), np.zeros_like(tau)], axis=1))
     assert curve.bandwidth == 10000
     check_cutoff(curve, 10.0)
     check_cutoff(curve, 3.0 * math.sqrt(2.0) * (1.0 + 1e-9))
-    for lambda0 in (3.0, 3.2):
+    for lambda0 in (3.45, 3.6, 4.0):
+        check_cutoff(curve, lambda0)
+    for lambda0 in (3.0, 3.2, 3.4):
         with pytest.raises(ValueError, match="enclose"):
             check_cutoff(curve, lambda0)
 

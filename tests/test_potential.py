@@ -9,6 +9,7 @@ from scipy.spatial.transform import Rotation
 from knotscatter import (
     FieldPoint,
     SampledCurve,
+    ScatteringKinematics,
     TorusKnot,
     UnknotXY,
     UnknotXZ,
@@ -18,10 +19,17 @@ from knotscatter import (
     octopole_moments,
     quadrupole_moments,
 )
-from knotscatter.curves import sample_curve, sampled_from_spec
+from knotscatter.curves import sampled_from_spec
 from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
-from knotscatter.oracles import divergence_multipole
-from knotscatter.potential import MIN_CURVE_DISTANCE, _biot_savart_batch, _multipole_components
+from knotscatter.oracles import BruteforceGrid, divergence_multipole, vni_bruteforce
+from knotscatter.potential import (
+    MAX_SAMPLES,
+    RESOLVED_SPAN,
+    _biot_savart_batch,
+    _max_speed,
+    _multipole_components,
+    biot_savart_samples,
+)
 
 
 def _fit_slope(radii, gaps):
@@ -151,7 +159,9 @@ def test_multipole_order_scaling_with_a_nonzero_octopole(spec):
 
 
 def _cross_product_potential(spec, points, n_samples):
-    _, pos, der = sample_curve(spec, n_samples)
+    # _eval_grid, not sample_curve: the reference grids reach 2^20 samples and
+    # are used once, so they stay out of sample_curve's cache
+    pos, der = spec._eval_grid(n_samples)
     out = []
     for x in points:
         sep = x - pos
@@ -160,25 +170,51 @@ def _cross_product_potential(spec, points, n_samples):
     return np.array(out)
 
 
-@pytest.mark.parametrize("n_points", [1, 700])
+@pytest.mark.parametrize("n_points", [1, 1000])
 def test_biot_savart_kernel_matches_a_cross_product_sum(n_points):
-    # 700 points at 4096 samples span two chunks of the batch kernel
+    # a chunk of the batch kernel holds 976 points at 2048 samples, so 1000 points span two
     spec = sampled_from_spec(TorusKnot(3, 4), 96)
+    assert biot_savart_samples(spec) == 2048
     rng = np.random.default_rng(5)
     directions = rng.normal(size=(n_points, 3))
     points = rng.uniform(4.0, 40.0, (n_points, 1)) * directions / np.linalg.norm(directions, axis=1)[:, None]
-    got = _biot_savart_batch(spec, points, 4096)
-    want = _cross_product_potential(spec, points, 4096)
+    got = _biot_savart_batch(spec, points)
+    want = _cross_product_potential(spec, points, 2048)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_biot_savart_refusal_boundary():
-    # the tau = 0 sample of the unknot sits at (3, 0, 0)
-    inside = FieldPoint.from_cartesian(3.0 + 0.5 * MIN_CURVE_DISTANCE, 0.0, 0.0)
-    outside = FieldPoint.from_cartesian(3.0 + 2.0 * MIN_CURVE_DISTANCE, 0.0, 0.0)
-    with pytest.raises(ValueError):
+    # the refusal distance is RESOLVED_SPAN * max|r'| / MAX_SAMPLES, 1.37e-4 for
+    # the unknot of speed 3; its tau = 0 sample sits at (3, 0, 0)
+    limit = RESOLVED_SPAN * 3.0 / MAX_SAMPLES
+    assert _max_speed(UnknotXY()) == pytest.approx(3.0, rel=1e-15)
+    assert limit == pytest.approx(1.373e-4, rel=1e-3)
+    inside = FieldPoint.from_cartesian(3.0 + 0.5 * limit, 0.0, 0.0)
+    outside = FieldPoint.from_cartesian(3.0 + 2.0 * limit, 0.0, 0.0)
+    with pytest.raises(ValueError, match="closer than"):
         biot_savart_dipole_line(UnknotXY(), inside)
-    assert np.isfinite(biot_savart_dipole_line(UnknotXY(), outside).vector).all()
+    # just below the limit, off the grid nodes and away from the x axis
+    tau = 0.123
+    below = (3.0 - 0.9 * limit) * np.array([math.cos(tau), math.sin(tau), 0.0])
+    with pytest.raises(ValueError, match="closer than"):
+        biot_savart_dipole_line(UnknotXY(), FieldPoint.from_cartesian(*below))
+    got = biot_savart_dipole_line(UnknotXY(), outside).vector
+    want = _cross_product_potential(UnknotXY(), [outside.cartesian], MAX_SAMPLES)[0]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spec", [TorusKnot(2, 3), UnknotXY()], ids=lambda s: s.label())
+def test_biot_savart_is_accurate_near_the_curve(spec):
+    # the fixed 2048-sample grid was 0.24 relative off at d = 0.01 on (2, 3);
+    # one point at each distance, off the grid nodes
+    distances = np.array([0.1, 0.01, 0.003])
+    rng = np.random.default_rng(4)
+    pos, der = spec._eval_arrays(rng.uniform(0.0, 2.0 * math.pi, len(distances)))
+    normals = np.cross(der, rng.normal(size=(len(distances), 3)))
+    points = pos + distances[:, None] * normals / np.linalg.norm(normals, axis=1)[:, None]
+    got = np.array([biot_savart_dipole_line(spec, FieldPoint.from_cartesian(*x)).vector for x in points])
+    want = _cross_product_potential(spec, points, MAX_SAMPLES)
+    assert (np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)).max() <= 1e-12
 
 
 def _loop_multipole(quad, octo, r, dirs, order):
@@ -231,27 +267,35 @@ def test_no_dipole_term_in_the_exact_field():
 def test_line_integral_sample_count_converged():
     spec = TorusKnot(2, 3)
     point = FieldPoint.from_cartesian(15.0, 8.0, -11.0)
-    coarse = biot_savart_dipole_line(spec, point, n_samples=256).vector
-    fine = biot_savart_dipole_line(spec, point, n_samples=4096).vector
-    np.testing.assert_allclose(coarse, fine, atol=1e-12)
+    default = biot_savart_dipole_line(spec, point).vector
+    fine = _cross_product_potential(spec, [point.cartesian], 1 << 16)[0]
+    np.testing.assert_allclose(default, fine, atol=1e-12)
 
 
-def test_biot_savart_refuses_a_grid_below_four_bandwidths():
-    # a noisy 1500-point curve has bandwidth 750; 2048 samples used to return
-    # potentials off by ~6e-5 relative without warning
+def _noisy_dense_curve():
+    # 1500 points, bandwidth 750: the old fixed 2048-sample grid refused it
     tau = np.arange(1500) * (2.0 * math.pi / 1500)
     tube = 2.0 + np.cos(3 * tau)
     pos = np.stack([tube * np.cos(2 * tau), tube * np.sin(2 * tau), -np.sin(3 * tau)], axis=1)
-    curve = SampledCurve.from_array(pos + 0.05 * np.random.default_rng(0).normal(size=pos.shape))
+    return SampledCurve.from_array(pos + 0.05 * np.random.default_rng(0).normal(size=pos.shape))
+
+
+def test_biot_savart_resolves_a_dense_curve():
+    curve = _noisy_dense_curve()
+    assert curve.bandwidth == 750 and biot_savart_samples(curve) == 4096
+    assert biot_savart_samples(sampled_from_spec(curve, 1024)) == 2048
     directions = np.random.default_rng(1).normal(size=(4, 3))
     points = 10.0 * directions / np.linalg.norm(directions, axis=1)[:, None]
-    with pytest.raises(ValueError, match="bandwidth 750"):
-        biot_savart_dipole_line(curve, FieldPoint.from_cartesian(*points[0]))
-    with pytest.raises(ValueError, match="bandwidth 750"):
-        _biot_savart_batch(curve, points, 2999)
-    got = np.array([biot_savart_dipole_line(curve, FieldPoint.from_cartesian(*x), 4096).vector for x in points])
-    want = _biot_savart_batch(curve, points, 1 << 16)
+    got = np.array([biot_savart_dipole_line(curve, FieldPoint.from_cartesian(*x)).vector for x in points])
+    want = _cross_product_potential(curve, points, 1 << 16)
     assert (np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)).max() < 1e-6
+
+
+def test_exact_field_bruteforce_accepts_a_dense_curve():
+    kin = ScatteringKinematics.from_angles(0.05, 0.4, 1.1, 2.0, -0.6, 4.5)
+    grid = BruteforceGrid(n_polar=8, n_azimuth=8, radial_points=4, tail_panels=6, field="biot-savart")
+    value = vni_bruteforce(_noisy_dense_curve(), kin, r_max=135.0, grid_spec=grid)
+    assert np.isfinite(value.real) and np.isfinite(value.imag)
 
 
 def test_points_on_or_near_the_curve_are_rejected():
