@@ -196,6 +196,10 @@ class SampledCurve(KnotSpec):
         arr = np.asarray(points, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) point list, got shape {arr.shape}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            index = int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"curve point {index} is not finite: {arr[index].tolist()}")
         return cls(tuple(map(tuple, arr.tolist())))
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:

@@ -98,6 +98,28 @@ def test_short_point_list_is_a_config_error(tmp_path, capsys):
     assert "at least 8 points" in err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments",),
+        ("potential", "--r-min", "10", "--r-max", "20", "--n-r", "2"),
+        ("amplitude", "--k", "0.5", "--ki-theta", "0.4", "--ki-phi", "1.1", "--kn-theta", "2.0", "--kn-phi", "-0.6"),
+        ("sweep", "--k", "0.5", "--n", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_file_points_are_a_config_error(tmp_path, capsys, bad, argv):
+    path = tmp_path / "curve.json"
+    rows = [f"[{3.0 * math.cos(t)!r}, {3.0 * math.sin(t)!r}, 0.0]" for t in np.arange(16) * math.pi / 8.0]
+    rows[3] = f"[1.0, {bad}, 0.0]"
+    path.write_text('{"points": [' + ", ".join(rows) + "]}")
+    code, out, err = run_cli(capsys, argv[0], "--knot", f"file:{path}", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "curve point 3 is not finite" in err
+
+
 def test_potential_csv_layout(capsys):
     code, out, _ = run_cli(
         capsys,

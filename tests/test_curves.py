@@ -144,6 +144,17 @@ def test_validation_errors():
         sampled_from_json({"vertices": []})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_refused(bad):
+    tau = np.arange(16) * (TWO_PI / 16)
+    points = 3.0 * np.stack([np.cos(tau), np.sin(tau), np.zeros_like(tau)], axis=1)
+    points[5, 1] = bad
+    with pytest.raises(ValueError, match="curve point 5 is not finite"):
+        SampledCurve.from_array(points)
+    with pytest.raises(ValueError, match="not finite"):
+        sampled_from_json({"points": points.tolist()})
+
+
 def _noisy_sampled_knot(n_points, seed=0):
     tau = np.arange(n_points) * (TWO_PI / n_points)
     pos, _ = TorusKnot(3, 4)._eval_arrays(tau)

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotscatter.oracles import gamma_ratio, sphere_integral, sphere_rule
-from knotscatter.specfun import (
-    DegenerateClosedForm,
+from knotscatter.oracles import (
     clebsch_gordan,
+    gamma_ratio,
     gaunt,
-    hyp1f2,
+    sphere_integral,
+    sphere_rule,
     spherical_harmonic,
 )
+from knotscatter.specfun import DegenerateClosedForm, hyp1f2
 
 TWO_PI = 2.0 * math.pi
 
