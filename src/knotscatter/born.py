@@ -7,25 +7,14 @@ the exterior of the cutoff sphere r = lambda0 is
 
 with q = k_i - k_n (momentum transfer), K = k_i + k_n, g the coupling
 prefactor, and A~ the unit-prefactor multipole potential. Expanding the
-plane wave over spherical harmonics collapses the volume integral into
-angular brackets bracket(f, C) = sum_{l,m} C(l, m) integral Y*_lm f dOmega
-with the coefficient maps C(l, m) = i^l Y_lm(qhat) rho_A(l) (l = 0, 2) and
-i^l q Y_lm(qhat) rho_B(l) (l = 1, 3). By the addition theorem (DLMF
-14.30.9) the sum over m is the degree-l projection of f at qhat, so for the
-direction-cosine monomials of the moments each bracket is a short
-Cartesian form in qhat (delta the Kronecker delta):
-
-    bracket(R_j R_k, A)     = rho_A(0) delta_jk/3 - rho_A(2) (qhat_j qhat_k - delta_jk/3)
-    bracket(R_j R_k R_l, B) = i q [rho_B(1) P_jkl - rho_B(3) (qhat_j qhat_k qhat_l - P_jkl)]
-    bracket(R_p, B)         = i q rho_B(1) qhat_p
-
-with P_jkl = (delta_jk qhat_l + delta_jl qhat_k + delta_kl qhat_j) / 5.
-Contracting them with the moments gives four closed-form pieces:
+plane wave over spherical harmonics collapses the volume integral into the
+angular brackets and radial coefficient maps of the sibling modules, giving
+four closed-form pieces:
 
     v1 = -g       sum_{j<=k}   [sum_i 3 K_i Q^i_{jk}]  bracket(R_j R_k, A)
-    v2 = -g       [sum_i K_i Q^i_trace] rho_A(0)
+    v2 = -g       [sum_i K_i Q^i_trace]                sqrt(4 pi) A(0, 0)
     v3 = -(15/2)g sum_{j<=k<=l} [sum_i K_i O^i_{jkl}]  bracket(R_j R_k R_l, B)
-    v4 = +(3/2)g  [sum_{i,p} K_i Oc^i_p qhat_p] i q rho_B(1)
+    v4 = +(3/2)g  sum_p        [sum_i K_i Oc^i_p]      bracket(R_p, B)
 
 triad_amplitude assembles the factorized combination of three unknot
 amplitudes that the torus-knot amplitude is predicted to equal;
@@ -42,10 +31,11 @@ from math import gcd
 
 import numpy as np
 
+from .angular import DirectionCosineMonomial, angular_bracket
 from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, check_cutoff
 from .multipole import (
-    PAIR_COLUMNS,
-    TRIPLE_COLUMNS,
+    SORTED_PAIRS,
+    SORTED_TRIPLES,
     OctopoleMoments,
     QuadrupoleMoments,
     octopole_moments,
@@ -155,29 +145,6 @@ class BornAmplitude:
         return self.v1 + self.v2 + self.v3 + self.v4
 
 
-def _pair_brackets(radial: RadialCoefficients) -> np.ndarray:
-    """bracket(R_j R_k, A) for the (j, k) of SORTED_PAIRS."""
-    J, K = PAIR_COLUMNS
-    qhat = radial.khat
-    isotropic = np.eye(3)[J, K] / 3.0
-    return radial.rho_a0 * isotropic - radial.rho_a2 * (qhat[J] * qhat[K] - isotropic)
-
-
-def _triple_brackets(radial: RadialCoefficients) -> np.ndarray:
-    """bracket(R_j R_k R_l, B) for the (j, k, l) of SORTED_TRIPLES."""
-    J, K, L = TRIPLE_COLUMNS
-    qhat = radial.khat
-    delta = np.eye(3)
-    dipolar = (delta[J, K] * qhat[L] + delta[J, L] * qhat[K] + delta[K, L] * qhat[J]) / 5.0
-    cubic = qhat[J] * qhat[K] * qhat[L] - dipolar
-    return 1j * radial.k * (radial.rho_b1 * dipolar - radial.rho_b3 * cubic)
-
-
-def _linear_brackets(radial: RadialCoefficients) -> np.ndarray:
-    """bracket(R_p, B) for p = 0, 1, 2."""
-    return 1j * radial.k * radial.rho_b1 * radial.khat
-
-
 def vni_quadrupole(
     quad: QuadrupoleMoments,
     kin: ScatteringKinematics,
@@ -186,10 +153,16 @@ def vni_quadrupole(
 ) -> tuple[complex, complex]:
     """Quadrupole pieces: tensor part v1 and trace part v2."""
     K = kin.K_vec
-    J, L = PAIR_COLUMNS
-    v1 = 3.0 * (K @ quad.Q_tensor[:, J, L]) @ _pair_brackets(radial)
-    v2 = float(K @ quad.Q_trace) * radial.rho_a0
-    return complex(-g * v1), complex(-g * v2)
+    v1 = 0.0 + 0.0j
+    for j, k in SORTED_PAIRS:
+        weight = 3.0 * float(K @ quad.Q_tensor[:, j, k])
+        if weight != 0.0:
+            expo = [0, 0, 0]
+            expo[j] += 1
+            expo[k] += 1
+            v1 += weight * angular_bracket(DirectionCosineMonomial(tuple(expo)), radial.A)
+    v2 = float(K @ quad.Q_trace) * math.sqrt(4.0 * math.pi) * radial.A[(0, 0)]
+    return -g * v1, -g * v2
 
 
 def vni_octopole(
@@ -200,10 +173,23 @@ def vni_octopole(
 ) -> tuple[complex, complex]:
     """Octopole pieces: rank-3 tensor part v3 and contracted part v4."""
     K = kin.K_vec
-    J, L, M = TRIPLE_COLUMNS
-    v3 = (K @ octo.O_tensor[:, J, L, M]) @ _triple_brackets(radial)
-    v4 = (K @ octo.O_contracted) @ _linear_brackets(radial)
-    return complex(-7.5 * g * v3), complex(1.5 * g * v4)
+    v3 = 0.0 + 0.0j
+    for j, k, l in SORTED_TRIPLES:
+        weight = float(K @ octo.O_tensor[:, j, k, l])
+        if weight != 0.0:
+            expo = [0, 0, 0]
+            expo[j] += 1
+            expo[k] += 1
+            expo[l] += 1
+            v3 += weight * angular_bracket(DirectionCosineMonomial(tuple(expo)), radial.B)
+    v4 = 0.0 + 0.0j
+    for p in range(3):
+        weight = float(K @ octo.O_contracted[:, p])
+        if weight != 0.0:
+            expo = [0, 0, 0]
+            expo[p] = 1
+            v4 += weight * angular_bracket(DirectionCosineMonomial(tuple(expo)), radial.B)
+    return -7.5 * g * v3, 1.5 * g * v4
 
 
 def _assemble(
@@ -221,7 +207,7 @@ def _assemble(
 def born_amplitude(spec: KnotSpec, kin: ScatteringKinematics, g: float = 1.0) -> BornAmplitude:
     """Assembled reduced matrix element for a knot and one kinematics.
 
-    Computes the curve's moments, the radial coefficients for the
+    Computes the curve's moments, the radial coefficient maps for the
     momentum transfer, and the four pieces. The reported number multiplies
     -2 pi i delta(E_n - E_i) in the full S matrix; the delta itself is
     stripped. A cutoff sphere that does not enclose the curve raises

@@ -14,16 +14,12 @@ oracle recomputes a production quantity by another route:
 * radial_reference, the sine/cosine reduction at a single order, is the
   second scheme for the orders whose closed form is degenerate (l = 0 for A,
   l = 1 for B).
-* spherical_harmonic, clebsch_gordan and gaunt build the exact harmonic
-  expansion of every direction-cosine monomial of degree <= 3
-  (monomial_expansion, by Gaunt linearization), and angular_bracket sums a
-  coefficient map against it.
 * sphere_quadrature_bracket, on the tensor rule of sphere_rule and
-  sphere_integral, checks angular_bracket and the Cartesian brackets that
-  born contracts with the moments.
+  sphere_integral, checks angular.angular_bracket.
 * TABULATED_BRACKETS and TABULATED_VARIANTS, an independently tabulated
-  coefficient set, and TRIPLE_PRODUCT_IDENTITIES check monomial_expansion
-  through discrepancy_report and triple_product_residual.
+  coefficient set, and TRIPLE_PRODUCT_IDENTITIES check
+  angular.monomial_expansion through discrepancy_report and
+  triple_product_residual.
 * vni_bruteforce, the direct volume quadrature of V_ni, checks
   born.born_amplitude end to end.
 * divergence_multipole checks that potential.multipole_potential is
@@ -37,20 +33,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, sph_harm_y, spherical_jn
+from scipy.special import gammaln, gammasgn, spherical_jn
 
-from .angular import DirectionCosineMonomial
+from .angular import DirectionCosineMonomial, monomial_expansion
 from .born import ScatteringKinematics
 from .curves import KnotSpec, TorusKnot, check_cutoff
 from .multipole import OctopoleMoments, QuadrupoleMoments, octopole_moments, quadrupole_moments
 from .potential import FieldPoint, _biot_savart_batch, _multipole_components, multipole_potential
 from .radial import _SIN_COS_FORM, _sin_cos_integral, _sin_cos_moments, _validate_kl
-from .specfun import DegenerateClosedForm, NonConvergent, hyp1f2
+from .specfun import DegenerateClosedForm, NonConvergent, hyp1f2, spherical_harmonic
 
 _SQ = math.sqrt
 _PI = math.pi
@@ -266,134 +261,6 @@ def radial_reference(weight_power: float, l: int, k: float, lambda0: float) -> f
     return _sin_cos_integral(l, s, moments) * k ** (s - 1)
 
 
-def spherical_harmonic(l: int, m: int, theta, phi):
-    """Orthonormal spherical harmonic Y_{lm}(theta, phi), Condon-Shortley phase.
-
-    theta is the polar angle, phi the azimuth; broadcasts over array inputs.
-    """
-    if abs(m) > l:
-        raise ValueError(f"|m| <= l required, got l={l}, m={m}")
-    return sph_harm_y(l, m, theta, phi)
-
-
-@lru_cache(maxsize=None)
-def _cg_exact(l1: int, l2: int, m1: int, m2: int, L: int, M: int) -> tuple[int, Fraction]:
-    # Exact square and sign of the coefficient via integer factorials.
-    f = math.factorial
-    pref = Fraction(
-        (2 * L + 1) * f(l1 + l2 - L) * f(l1 - l2 + L) * f(-l1 + l2 + L),
-        f(l1 + l2 + L + 1),
-    ) * Fraction(f(L + M) * f(L - M) * f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2))
-    total = Fraction(0)
-    for k in range(0, l1 + l2 + L + 1):
-        denoms = (k, l1 + l2 - L - k, l1 - m1 - k, l2 + m2 - k, L - l2 + m1 + k, L - l1 - m2 + k)
-        if any(d < 0 for d in denoms):
-            continue
-        term = Fraction((-1) ** k, math.prod(f(d) for d in denoms))
-        total += term
-    sign = 0 if total == 0 else (1 if total > 0 else -1)
-    return sign, pref * total * total
-
-
-def clebsch_gordan(l1: int, l2: int, m1: int, m2: int, L: int, M: int) -> float:
-    """Coefficient <l1, l2; m1, m2 | L, M> by the closed finite sum.
-
-    All arithmetic is exact (integer factorials and rationals) up to the
-    final square root, eliminating accumulation error for the small l used
-    here; selection-rule violations return 0.
-    """
-    for l, m in ((l1, m1), (l2, m2), (L, M)):
-        if l < 0 or abs(m) > l:
-            return 0.0
-    if M != m1 + m2 or L < abs(l1 - l2) or L > l1 + l2:
-        return 0.0
-    sign, square = _cg_exact(l1, l2, m1, m2, L, M)
-    return sign * math.sqrt(float(square))
-
-
-@lru_cache(maxsize=None)
-def gaunt(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
-    """Integral of Y*_{LM} Y_{l1 m1} Y_{l2 m2} over the unit sphere.
-
-    Equivalently the coefficient of Y_{LM} in the product Y_{l1 m1} Y_{l2 m2}:
-
-        sqrt((2 l1 + 1)(2 l2 + 1) / (4 pi (2 L + 1)))
-        * <l1, l2; 0, 0 | L, 0> * <l1, l2; m1, m2 | L, M>.
-
-    Selection rules (M = m1 + m2, triangle inequality, parity) give 0. The
-    memo table is read-only after first computation and safe for concurrent
-    readers.
-    """
-    return (
-        math.sqrt((2 * l1 + 1) * (2 * l2 + 1) / (4.0 * math.pi * (2 * L + 1)))
-        * clebsch_gordan(l1, l2, 0, 0, L, 0)
-        * clebsch_gordan(l1, l2, m1, m2, L, M)
-    )
-
-
-@dataclass(frozen=True)
-class HarmonicExpansion:
-    """Finite expansion mono = sum over terms of c_{lm} Y_{lm}."""
-
-    terms: dict
-
-    def evaluate(self, theta: float, phi: float) -> complex:
-        return sum(c * complex(spherical_harmonic(l, m, theta, phi)) for (l, m), c in self.terms.items())
-
-
-#: Degree-1 expansions: R1, R2, R3 over Y_{1,m}, and the constant over Y_{0,0}.
-_SEEDS = (
-    {(1, -1): _SQ(2 * _PI / 3), (1, 1): -_SQ(2 * _PI / 3)},
-    {(1, -1): 1j * _SQ(2 * _PI / 3), (1, 1): 1j * _SQ(2 * _PI / 3)},
-    {(1, 0): _SQ(4 * _PI / 3)},
-)
-
-
-def _multiply_seed(terms: dict, seed: dict) -> dict:
-    out: dict = {}
-    for (l1, m1), c1 in terms.items():
-        for (l2, m2), c2 in seed.items():
-            M = m1 + m2
-            for L in range(abs(l1 - l2), l1 + l2 + 1):
-                if abs(M) > L:
-                    continue
-                g = gaunt(l1, m1, l2, m2, L, M)
-                if g != 0.0:
-                    out[L, M] = out.get((L, M), 0.0) + c1 * c2 * g
-    return {key: val for key, val in out.items() if abs(val) > 1e-14}
-
-
-@lru_cache(maxsize=None)
-def _expansion_terms(exponents: tuple[int, int, int]) -> tuple:
-    terms = {(0, 0): _SQ(4 * _PI)}
-    for axis, n in enumerate(exponents):
-        for _ in range(n):
-            terms = _multiply_seed(terms, _SEEDS[axis])
-    return tuple(sorted(terms.items()))
-
-
-def monomial_expansion(mono: DirectionCosineMonomial) -> HarmonicExpansion:
-    """Exact harmonic expansion of a degree <= 3 direction-cosine monomial.
-
-    Built by repeated Gaunt linearization of the degree-1 expansions, not
-    from any hardcoded table. Only l of the monomial's degree parity appear.
-    """
-    return HarmonicExpansion(terms=dict(_expansion_terms(mono.exponents)))
-
-
-def angular_bracket(mono: DirectionCosineMonomial, coeffs: dict) -> complex:
-    """sum_{l,m} coeffs(l, m) * integral Y*_{lm} mono dOmega, by orthonormality.
-
-    Every (l, m) touched by the monomial's expansion must be present in
-    coeffs; missing entries raise KeyError naming them all.
-    """
-    terms = monomial_expansion(mono).terms
-    missing = sorted(key for key in terms if key not in coeffs)
-    if missing:
-        raise KeyError(f"coefficient map lacks required (l, m) entries: {missing}")
-    return complex(sum(coeffs[key] * c for key, c in terms.items()))
-
-
 @lru_cache(maxsize=8)
 def sphere_rule(n_polar: int = 50, n_azimuth: int = 128) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor-product quadrature nodes and weights on the 2-sphere.
@@ -422,11 +289,10 @@ def sphere_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n_polar: 
 def sphere_quadrature_bracket(mono: DirectionCosineMonomial, coeffs: dict) -> complex:
     """Same bracket via direct 2-sphere quadrature of each projection integral.
 
-    Independent oracle for angular_bracket and for born's Cartesian
-    brackets: every integral Y*_{lm} mono is evaluated on the 12 x 24
-    Gauss-Legendre x trapezoid product rule, exact for these polynomial
-    integrands up to l = 3. Sums over every entry of coeffs (entries
-    orthogonal to the monomial integrate to zero).
+    Independent oracle for angular_bracket: every integral Y*_{lm} mono is
+    evaluated on the 12 x 24 Gauss-Legendre x trapezoid product rule, exact
+    for these polynomial integrands up to l = 3. Sums over every entry of
+    coeffs (entries orthogonal to the monomial integrate to zero).
     """
     theta, phi, weights = sphere_rule(12, 24)
     mono_values = mono.evaluate(theta, phi)

@@ -29,6 +29,9 @@ evaluation (241 log-spaced a in [1e-3, 1e3], 4001 in [30, 1e3]) the
 production error stays below 5e-13 of |rho| for a < 1 and of
 max(|rho|, a^-(s+1)) for a >= 1 (s = 1 for A, 2 for B; the envelope covers
 the zeros of the oscillating tail). The tests hold it to 1e-10.
+
+The full coefficient assembly multiplies in i^l Y_lm(khat), and an extra
+factor k for the B family.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import sici
 
-from .specfun import hyp1f2
+from .specfun import hyp1f2, spherical_harmonic
 
 if TYPE_CHECKING:  # pragma: no cover
     from .born import ScatteringKinematics
@@ -56,20 +59,18 @@ _ASYMPTOTIC_A = 60.0
 
 @dataclass(frozen=True)
 class RadialCoefficients:
-    """Radial integrals for one kinematic configuration.
+    """Assembled radial coefficients for one kinematic configuration.
 
-    k and khat are the magnitude and unit vector of the momentum transfer;
-    rho_a0, rho_a2 are rho_A(0), rho_A(2) and rho_b1, rho_b3 are rho_B(1),
-    rho_B(3) at a = k * lambda0.
+    A maps (l, m) -> i^l Y_lm(khat) rho_A(l) for l in {0, 2};
+    B maps (l, m) -> i^l k Y_lm(khat) rho_B(l) for l in {1, 3}.
+    khat is the unit vector of the momentum transfer.
     """
 
     k: float
     lambda0: float
     khat: np.ndarray
-    rho_a0: float
-    rho_a2: float
-    rho_b1: float
-    rho_b3: float
+    A: dict
+    B: dict
 
 
 def _validate_kl(k: float, lambda0: float) -> float:
@@ -144,22 +145,33 @@ def _rho_values(k: float, lambda0: float) -> tuple[dict, dict]:
 
 
 def radial_coefficients(kin: "ScatteringKinematics") -> RadialCoefficients:
-    """rho_A(0), rho_A(2), rho_B(1) and rho_B(3) at the momentum transfer of kin.
+    """Radial coefficient maps A(l, m) and B(l, m) for one kinematics.
 
-    With k the magnitude of the momentum transfer and a = k * lambda0,
-    rho_A(2) = j_1(a)/a and rho_B(3) = j_2(a)/a^2 are elementary (their 0F1
-    series below a = 2, SICI_SWITCH_A); rho_A(0) comes from the sine and
-    cosine integrals, and so does rho_B(1) from a = 2 on, below which it is
-    (rho_A(0) + j_1(a)/a) / 3. Panel quadrature and the 1F2 closed forms are
-    never called; they are oracles for tests and selfcheck. a > 1e3 raises
-    ValueError.
+    A(l, m) = i^l Y_lm(khat) rho_A(l) for l in {0, 2},
+    B(l, m) = i^l k Y_lm(khat) rho_B(l) for l in {1, 3},
+
+    where k and khat are the magnitude and direction of the momentum
+    transfer. With a = k * lambda0, rho_A(2) = j_1(a)/a and rho_B(3) =
+    j_2(a)/a^2 are elementary (their 0F1 series below a = 2, SICI_SWITCH_A);
+    rho_A(0) comes from the sine and cosine integrals, and so does rho_B(1)
+    from a = 2 on, below which it is (rho_A(0) + j_1(a)/a) / 3. Panel
+    quadrature and the 1F2 closed forms are never called; they are oracles
+    for tests and selfcheck. a > 1e3 raises ValueError.
     """
     k = kin.q_mag
     lambda0 = kin.lambda0
     if k <= 0:
         raise ValueError("momentum transfer must be nonzero (forward scattering excluded)")
+    khat = kin.q_hat
+    theta = math.acos(max(-1.0, min(1.0, khat[2])))
+    phi = math.atan2(khat[1], khat[0])
     rho_a, rho_b = _rho_values(k, lambda0)
-    return RadialCoefficients(
-        k=k, lambda0=lambda0, khat=kin.q_hat,
-        rho_a0=rho_a[0], rho_a2=rho_a[2], rho_b1=rho_b[1], rho_b3=rho_b[3],
-    )
+    A = {}
+    for l in (0, 2):
+        for m in range(-l, l + 1):
+            A[(l, m)] = (1j) ** l * complex(spherical_harmonic(l, m, theta, phi)) * rho_a[l]
+    B = {}
+    for l in (1, 3):
+        for m in range(-l, l + 1):
+            B[(l, m)] = (1j) ** l * k * complex(spherical_harmonic(l, m, theta, phi)) * rho_b[l]
+    return RadialCoefficients(k=k, lambda0=lambda0, khat=khat, A=A, B=B)

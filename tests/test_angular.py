@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotscatter import DirectionCosineMonomial, sphere_quadrature_bracket
+from knotscatter.angular import angular_bracket, monomial_expansion
 from knotscatter.oracles import (
     TABULATED_BRACKETS,
     TABULATED_VARIANTS,
     TRIPLE_PRODUCT_IDENTITIES,
-    angular_bracket,
     discrepancy_report,
-    monomial_expansion,
     triple_product_residual,
 )
 

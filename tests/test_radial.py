@@ -25,19 +25,14 @@ from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
 from knotscatter import (
-    DirectionCosineMonomial,
     NonConvergent,
     ScatteringKinematics,
     TorusKnot,
     born_amplitude,
     factorization_residual,
     oracles,
-    random_kinematics,
-    sphere_quadrature_bracket,
     triad_amplitude,
 )
-from knotscatter.born import _linear_brackets, _pair_brackets, _triple_brackets
-from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
 from knotscatter.oracles import (
     CLOSED_FORM_MAX_A,
     _bessel_zeros_from,
@@ -45,10 +40,9 @@ from knotscatter.oracles import (
     radial_B_closed,
     radial_quadrature,
     radial_reference,
-    spherical_harmonic,
 )
 from knotscatter.radial import _rho_values, radial_coefficients
-from knotscatter.specfun import DegenerateClosedForm
+from knotscatter.specfun import DegenerateClosedForm, spherical_harmonic
 
 LAMBDA0 = 3.5
 
@@ -156,64 +150,39 @@ def test_insufficient_panels_raise_nonconvergent():
         radial_quadrature(-1.5, 0, 0.5, LAMBDA0, n_panels=7, abs_tol=1e-30)
 
 
-def _coefficient_maps(coeffs):
-    # the harmonic maps the Cartesian brackets replace:
-    # A(l, m) = i^l Y_lm(qhat) rho_A(l), B(l, m) = i^l q Y_lm(qhat) rho_B(l)
-    qhat = coeffs.khat
-    theta = math.acos(max(-1.0, min(1.0, qhat[2])))
-    phi = math.atan2(qhat[1], qhat[0])
-
-    def harmonic_map(rhos, scale):
-        return {
-            (l, m): (1j) ** l * scale * complex(spherical_harmonic(l, m, theta, phi)) * rho
-            for l, rho in rhos.items()
-            for m in range(-l, l + 1)
-        }
-
-    A = harmonic_map({0: coeffs.rho_a0, 2: coeffs.rho_a2}, 1.0)
-    B = harmonic_map({1: coeffs.rho_b1, 3: coeffs.rho_b3}, coeffs.k)
-    return A, B
-
-
-def _monomial(indices):
-    expo = [0, 0, 0]
-    for idx in indices:
-        expo[idx] += 1
-    return DirectionCosineMonomial(tuple(expo))
-
-
 def test_radial_coefficient_maps():
     kin = ScatteringKinematics.from_angles(0.5, 0.4, 1.1, 2.0, -0.6, LAMBDA0)
     coeffs = radial_coefficients(kin)
     # the radial factors are evaluated at the momentum transfer, not at k
     assert coeffs.k == pytest.approx(kin.q_mag)
-    np.testing.assert_array_equal(coeffs.khat, kin.q_hat)
-    q = kin.q_mag
-    assert coeffs.rho_a0 == pytest.approx(radial_quadrature(-1.5, 0, q, LAMBDA0), rel=1e-10)
-    assert coeffs.rho_a2 == pytest.approx(radial_A_closed(2, q, LAMBDA0), rel=1e-9)
-    assert coeffs.rho_b1 == pytest.approx(radial_quadrature(-2.5, 1, q, LAMBDA0) / q, rel=1e-9)
-    assert coeffs.rho_b3 == pytest.approx(radial_B_closed(3, q, LAMBDA0), rel=1e-9)
+    assert sorted(coeffs.A) == [(0, 0), (2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
+    assert sorted(coeffs.B) == [
+        (1, -1), (1, 0), (1, 1),
+        (3, -3), (3, -2), (3, -1), (3, 0), (3, 1), (3, 2), (3, 3),
+    ]
 
-    # born's Cartesian brackets against the sphere quadrature of the harmonic maps
-    families = (
-        (_pair_brackets, SORTED_PAIRS, 0),
-        (_triple_brackets, SORTED_TRIPLES, 1),
-        (_linear_brackets, tuple((p,) for p in range(3)), 1),
-    )
-    directions = random_kinematics(np.random.default_rng(19), 1.0, LAMBDA0, 20)
-    for a in (1e-3, 0.5, 1.9, 2.0, 14.0, 60.0, 999.0):
-        for unit in directions:
-            scale = a / (unit.q_mag * LAMBDA0)
-            kin = ScatteringKinematics(
-                tuple(scale * np.array(unit.k_i)), tuple(scale * np.array(unit.k_n)), LAMBDA0
-            )
-            coeffs = radial_coefficients(kin)
-            maps = _coefficient_maps(coeffs)
-            for brackets, monomials, family in families:
-                got = brackets(coeffs)
-                want = np.array([sphere_quadrature_bracket(_monomial(m), maps[family]) for m in monomials])
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (a, brackets.__name__)
+    q = kin.q_mag
+    rho_a0 = radial_quadrature(-1.5, 0, q, LAMBDA0)
+    assert coeffs.A[(0, 0)] == pytest.approx(rho_a0 / math.sqrt(4.0 * math.pi), rel=1e-10)
+
+    # conjugation symmetry inherited from the harmonics, radial factors real
+    for (l, m), value in coeffs.A.items():
+        want = (-1.0) ** (l + m) * coeffs.A[(l, -m)].conjugate()
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
+    for (l, m), value in coeffs.B.items():
+        want = (-1.0) ** (l + m) * coeffs.B[(l, -m)].conjugate()
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    # the radial factor is m-independent and the phase is i^l
+    theta = math.acos(kin.q_hat[2])
+    phi = math.atan2(kin.q_hat[1], kin.q_hat[0])
+    rho_a2 = radial_A_closed(2, q, LAMBDA0)
+    for m in range(-2, 3):
+        want = (1j) ** 2 * complex(spherical_harmonic(2, m, theta, phi)) * rho_a2
+        assert coeffs.A[(2, m)] == pytest.approx(want, rel=1e-9, abs=1e-15)
+    rho_b1 = radial_quadrature(-2.5, 1, q, LAMBDA0) / q
+    want = 1j * q * complex(spherical_harmonic(1, 0, theta, phi)) * rho_b1
+    assert coeffs.B[(1, 0)] == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 @settings(deadline=None, max_examples=15)
@@ -339,7 +308,6 @@ def test_amplitude_path_never_uses_panel_quadrature(monkeypatch):
             defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
     public = {name for name in defined if not name.startswith("_")}
     assert {"radial_quadrature", "radial_A_closed", "radial_B_closed", "gamma_ratio"} <= public
-    assert {"spherical_harmonic", "clebsch_gordan", "gaunt", "monomial_expansion", "angular_bracket"} <= public
     for layer in ("curves", "multipole", "potential", "radial", "specfun", "angular", "born"):
         module = importlib.import_module(f"knotscatter.{layer}")
         assert not public & set(vars(module)), layer

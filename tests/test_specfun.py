@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotscatter.oracles import (
+from knotscatter.oracles import gamma_ratio, sphere_integral, sphere_rule
+from knotscatter.specfun import (
+    DegenerateClosedForm,
     clebsch_gordan,
-    gamma_ratio,
     gaunt,
-    sphere_integral,
-    sphere_rule,
+    hyp1f2,
     spherical_harmonic,
 )
-from knotscatter.specfun import DegenerateClosedForm, hyp1f2
 
 TWO_PI = 2.0 * math.pi
 
