@@ -14,9 +14,13 @@ Arbitrary closed curves enter as ``SampledCurve``, an ordered list of points
 interpolated trigonometrically, so every operation here retains spectral
 accuracy for smooth data. Every curve states one thing, its Fourier spectrum
 (``KnotSpec._spectrum``); its ``bandwidth`` is the highest frequency there,
-``sample_curve`` folds the spectrum onto a grid and takes one inverse FFT,
-exact to round-off, and ``moment_samples`` gives the grid that makes moments
-exact.
+``sample_curve`` folds the spectrum onto a grid and takes one real inverse
+FFT, exact to round-off, and ``moment_samples`` gives the grid that makes
+moments exact. A real curve has c_{-f} = conj(c_f), so a grid of m points
+needs only the bins 0..m//2 of the folded spectrum: positions and
+derivatives come from one ``np.fft.irfft`` of a (6, m//2 + 1) half spectrum
+as the rows of one contiguous (6, m) array, so each coordinate is a
+contiguous row of nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +59,7 @@ class KnotSpec:
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    @property
+    @cached_property
     def bandwidth(self) -> int:
         """Highest frequency max |f| of the spectrum; moment and Biot-Savart grids are chosen from it."""
         return int(np.abs(_spectrum(self)[0]).max())
@@ -71,12 +75,18 @@ class KnotSpec:
     def _eval_grid(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         # On tau_j = 2*pi*j/m, exp(i f tau_j) depends on f only through f mod m:
         # the spectrum folded onto m bins and one inverse FFT give the direct
-        # sum of _eval_arrays for any m, aliasing included when m <= 2B.
+        # sum of _eval_arrays for any m, aliasing included when m <= 2B. The
+        # folded spectrum of a real curve is Hermitian, so only the bins
+        # f mod m <= m // 2 are folded (both +-m/2 land on the Nyquist bin of
+        # an even m) and irfft supplies the mirror half. pos and der are
+        # transposed views of the contiguous (6, m) rows.
         freq, coef = _spectrum(self)
-        folded = np.zeros((m, 6), dtype=complex)
-        np.add.at(folded, freq % m, np.hstack([coef, 1j * freq[:, None] * coef]))
-        values = np.fft.ifft(folded, axis=0).real * m
-        return values[:, :3], values[:, 3:]
+        kept = freq % m <= m // 2
+        freq, coef = freq[kept], coef[kept]
+        half = np.zeros((6, m // 2 + 1), dtype=complex)
+        np.add.at(half.T, freq % m, np.hstack([coef, 1j * freq[:, None] * coef]))
+        values = np.fft.irfft(half, n=m, axis=1, norm="forward")
+        return values[:3].T, values[3:].T
 
     def label(self) -> str:
         return type(self).__name__
@@ -196,17 +206,16 @@ class SampledCurve(KnotSpec):
         arr = np.asarray(points, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) point list, got shape {arr.shape}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            index = int(np.argmin(finite.all(axis=1)))
-            raise ValueError(f"curve point {index} is not finite: {arr[index].tolist()}")
+        _check_finite(arr)
         return cls(tuple(map(tuple, arr.tolist())))
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         # Fourier coefficients of the interpolant. The Nyquist mode of an
         # even-length series is split symmetrically between +n/2 and -n/2 so
-        # the interpolant is real with a well-defined derivative.
+        # the interpolant is real with a well-defined derivative. A curve
+        # built directly, not through from_array, is checked here.
         pts = np.asarray(self.points, dtype=float)
+        _check_finite(pts)
         n = len(pts)
         coef = np.fft.fft(pts, axis=0) / n
         freq = np.fft.fftfreq(n, d=1.0 / n).round().astype(int)
@@ -220,6 +229,13 @@ class SampledCurve(KnotSpec):
 
     def label(self) -> str:
         return f"sampled[{len(self.points)}]"
+
+
+def _check_finite(points: np.ndarray) -> None:
+    finite = np.isfinite(points)
+    if not finite.all():
+        index = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"curve point {index} is not finite: {points[index].tolist()}")
 
 
 def eval_curve(spec: KnotSpec, tau: float) -> CurvePoint:
@@ -236,7 +252,9 @@ def sample_curve(spec: KnotSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray
 
     The grid tau_j = 2*pi*j/n underlies every periodic trapezoidal integral,
     so the result is cached per (spec, n_samples). The spectrum folded onto
-    the grid and one inverse FFT give the samples, exact to round-off.
+    the grid and one real inverse FFT give the samples, exact to round-off;
+    positions and derivatives are (n, 3) views whose transposes are
+    contiguous (3, n) coordinate rows.
     """
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")

@@ -7,7 +7,10 @@ prefactor is 1, is the line integral
     A(x) = integral over the curve of  t'(tau) x (x - r'(tau)) / |x - r'(tau)|^3  dtau,
 
 computed by biot_savart_dipole_line on a periodic trapezoid grid it chooses
-itself, refined near the curve until the error is round-off. The far field
+itself, refined near the curve until the error is round-off. On M nodes the
+field points form one (n, 3, M) block of separations s = x - r', weighted in
+place by |s|^-3 and reduced by one matmul with the (M, 3) tangents to the 3x3
+sums of s_a t_b, whose antisymmetric part is the cross product t x s. The far field
 is the multipole truncation through octopole order,
 
     A_i = (1/r^3) [ 3 sum_{j<=k} Q^i_{jk} R_j R_k + Q^i ]
@@ -16,7 +19,10 @@ is the multipole truncation through octopole order,
 whose difference from the exact field decays one power faster (1/r^5). The
 sums run over unordered index tuples, each counted once, with the numeric
 factors outside; the dipole (1/r^2) order is absent because the tangent
-integrates to zero around a closed curve.
+integrates to zero around a closed curve. Each moments object caches its
+coefficients with those factors folded in (``potential_block``), so the
+truncation is one gather of the monomials R_j R_k, 1, R_j R_k R_l, R_p and
+one matmul per order.
 """
 
 from __future__ import annotations
@@ -28,12 +34,21 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import TWO_PI, KnotSpec, sample_curve
-from .multipole import PAIR_COLUMNS, TRIPLE_COLUMNS, OctopoleMoments, QuadrupoleMoments
+from .multipole import SORTED_PAIRS, SORTED_TRIPLES, OctopoleMoments, QuadrupoleMoments
 
 #: The finest Biot-Savart grid; points closer to the curve than it resolves are refused.
 MAX_SAMPLES = 1 << 20
 #: d M / max|r'| at which the trapezoid error of the line integral reaches round-off.
 RESOLVED_SPAN = 48.0
+
+# (t x s)_i = G[a_i, b_i] - G[b_i, a_i] for G[a, b] = sum s_a t_b
+_CROSS_A, _CROSS_B = (2, 0, 1), (1, 2, 0)
+# Index triples into (R_x, R_y, R_z, 1) whose products are the columns of
+# QuadrupoleMoments.potential_block (R_j R_k, then 1) and
+# OctopoleMoments.potential_block (R_j R_k R_l, then R_p).
+_MONOMIALS = np.array(
+    [(j, k, 3) for j, k in SORTED_PAIRS] + [(3, 3, 3)] + list(SORTED_TRIPLES) + [(p, 3, 3) for p in range(3)]
+).T
 
 
 @dataclass(frozen=True)
@@ -103,31 +118,34 @@ def _max_speed(spec: KnotSpec) -> float:
 
 
 def _trapezoid_mean(points: np.ndarray, pos: np.ndarray, der: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    """Grid mean of t x (x - r) / |x - r|^3 at each point, and the nearest point-to-node distance."""
-    (px, py, pz), (tx, ty, tz) = pos.T, der.T
-    out = np.empty_like(points, dtype=float)
+    """Grid mean of t x (x - r) / |x - r|^3 at each point, and the nearest point-to-node distance.
+
+    A chunk of n points becomes one (n, 3, M) block of separations s = x - r
+    from the contiguous (3, M) node rows pos.T. Weighted in place by
+    |s|^-3, one matmul with the (M, 3) tangents gives G[a, b] = sum s_a t_b w,
+    whose antisymmetric part is t x s: (t x s)_x = G[z, y] - G[y, z], and so on.
+    """
+    nodes = pos.T
+    out = np.empty((len(points), 3))
     nearest = math.inf
-    # chunk the pairwise (points x curve samples) arrays to bound memory
+    # chunk the (points x 3 x curve samples) block to bound memory
     chunk = max(1, int(2e6 / len(pos)))
     for start in range(0, len(points), chunk):
-        block = points[start : start + chunk]
-        sx = block[:, 0, None] - px
-        sy = block[:, 1, None] - py
-        sz = block[:, 2, None] - pz
-        d2 = sx * sx + sy * sy + sz * sz
-        dist = np.sqrt(d2)
+        sep = points[start : start + chunk, :, None] - nodes
+        weight = np.einsum("nim,nim->nm", sep, sep)
+        dist = np.sqrt(weight)
         nearest = min(nearest, float(dist.min()))
         if nearest <= floor:
             raise ValueError(
                 f"field point lies {nearest:.3g} from the curve, closer than the "
                 f"{MAX_SAMPLES}-sample grid resolves ({floor:.3g})"
             )
-        weight = 1.0 / (d2 * dist)
-        # t x sep, component by component
-        out[start : start + chunk, 0] = ((ty * sz - tz * sy) * weight).mean(axis=1)
-        out[start : start + chunk, 1] = ((tz * sx - tx * sz) * weight).mean(axis=1)
-        out[start : start + chunk, 2] = ((tx * sy - ty * sx) * weight).mean(axis=1)
-    return out, nearest
+        weight *= dist
+        np.divide(1.0, weight, out=weight)
+        sep *= weight[:, None, :]
+        gram = sep @ der
+        out[start : start + chunk] = gram[:, _CROSS_A, _CROSS_B] - gram[:, _CROSS_B, _CROSS_A]
+    return out / len(pos), nearest
 
 
 def _biot_savart_batch(spec: KnotSpec, points: np.ndarray) -> np.ndarray:
@@ -175,16 +193,14 @@ def _multipole_components(
     """Multipole potential at radii r (n,) and unit directions dirs (n, 3)."""
     if order not in ("quadrupole", "octopole"):
         raise ValueError(f"order must be 'quadrupole' or 'octopole', got {order!r}")
-    # unordered sums as monomial columns (n, 6) and (n, 10) times the matching tensor entries
-    J, K = PAIR_COLUMNS
+    # the columns of both potential blocks as monomials of (R_x, R_y, R_z, 1), in one gather
+    padded = np.ones((len(r), 4))
+    padded[:, :3] = dirs
+    monomials = padded[:, _MONOMIALS].prod(axis=1)
     inv_r3 = (1.0 / r**3)[:, None]
-    quad_sum = (dirs[:, J] * dirs[:, K]) @ quad.Q_tensor[:, J, K].T
-    out = (3.0 * quad_sum + quad.Q_trace) * inv_r3
+    out = monomials[:, :7] @ quad.potential_block.T * inv_r3
     if order == "octopole":
-        J, K, L = TRIPLE_COLUMNS
-        octo_sum = (dirs[:, J] * dirs[:, K] * dirs[:, L]) @ octo.O_tensor[:, J, K, L].T
-        linear = dirs @ octo.O_contracted.T
-        out += (7.5 * octo_sum - 1.5 * linear) * (inv_r3 / r[:, None])
+        out += monomials[:, 7:] @ octo.potential_block.T * (inv_r3 / r[:, None])
     return out
 
 

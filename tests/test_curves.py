@@ -153,6 +153,10 @@ def test_non_finite_points_are_refused(bad):
         SampledCurve.from_array(points)
     with pytest.raises(ValueError, match="not finite"):
         sampled_from_json({"points": points.tolist()})
+    # a curve built directly, not through from_array, is refused by its spectrum
+    direct = SampledCurve(tuple(map(tuple, points.tolist())))
+    with pytest.raises(ValueError, match="curve point 5 is not finite"):
+        quadrupole_moments(direct)
 
 
 def _noisy_sampled_knot(n_points, seed=0):
@@ -173,6 +177,22 @@ def test_fft_grid_matches_the_direct_trigonometric_sum(n_points):
         np.testing.assert_array_equal(got_tau, tau)
         for got, want in ((got_pos, want_pos), (got_der, want_der)):
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "spec", [TorusKnot(2, 3), _noisy_sampled_knot(64), _noisy_sampled_knot(33)], ids=lambda s: s.label()
+)
+def test_real_fft_fold_matches_the_direct_sum(spec):
+    # irfft of the bins f mod m <= m // 2: above 2B, at 2B (both +-B on the
+    # Nyquist bin), below 2B (aliasing), and odd m on either side of 2B
+    band = spec.bandwidth
+    for m in (4 * band, 2 * band + 1, 2 * band, band + 3, 2 * band - 1, band):
+        tau = np.arange(m) * (TWO_PI / m)
+        want_pos, want_der = spec._eval_arrays(tau)
+        got_pos, got_der = spec._eval_grid(m)
+        for got, want in ((got_pos, want_pos), (got_der, want_der)):
+            assert got.shape == want.shape and got.T.flags.c_contiguous
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize(

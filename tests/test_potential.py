@@ -183,6 +183,19 @@ def test_biot_savart_kernel_matches_a_cross_product_sum(n_points):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_one_point_call_is_a_row_of_the_batch():
+    # the one-point call is the n = 1 case of the batch kernel, bit for bit
+    base = np.asarray(sampled_from_spec(TorusKnot(2, 5), 300).points)
+    rng = np.random.default_rng(8)
+    curve = SampledCurve.from_array(base + 0.05 * rng.normal(size=base.shape))
+    directions = rng.normal(size=(25, 3))
+    radii = rng.uniform(5.0, 60.0, (25, 1))
+    points = [FieldPoint.from_cartesian(*x) for x in radii * directions / np.linalg.norm(directions, axis=1)[:, None]]
+    batch = _biot_savart_batch(curve, np.array([point.cartesian for point in points]))
+    one = np.array([biot_savart_dipole_line(curve, point).vector for point in points])
+    np.testing.assert_array_equal(one, batch)
+
+
 def test_biot_savart_refusal_boundary():
     # the refusal distance is RESOLVED_SPAN * max|r'| / MAX_SAMPLES, 1.37e-4 for
     # the unknot of speed 3; its tau = 0 sample sits at (3, 0, 0)
