@@ -19,7 +19,7 @@ where it is exact to round-off, so a moment depends on the curve alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
@@ -36,9 +36,8 @@ EPS.flags.writeable = False
 SORTED_TRIPLES = tuple(combinations_with_replacement(range(3), 3))
 #: Independent lower-index pairs, sorted j <= k.
 SORTED_PAIRS = tuple(combinations_with_replacement(range(3), 2))
-#: Index arrays J, K of SORTED_PAIRS and J, K, L of SORTED_TRIPLES.
+#: Index arrays J, K of SORTED_PAIRS.
 PAIR_COLUMNS = np.array(SORTED_PAIRS).T
-TRIPLE_COLUMNS = np.array(SORTED_TRIPLES).T
 
 # Every ordered lower triple (a, b, c) reads the entry of its sorted triple, and
 # the weight 1/3, 1 or 2 (for 1, 2 or 3 distinct values) turns the sum over the
@@ -61,14 +60,6 @@ class QuadrupoleMoments:
     Q_tensor: np.ndarray
     Q_trace: np.ndarray
 
-    @cached_property
-    def potential_block(self) -> np.ndarray:
-        """(3, 7) coefficients of the 1/r^3 potential: 3 Q[i, j, k] per sorted pair (j, k), then Q_trace[i]."""
-        J, K = PAIR_COLUMNS
-        block = np.hstack([3.0 * self.Q_tensor[:, J, K], self.Q_trace[:, None]])
-        block.flags.writeable = False
-        return block
-
 
 @dataclass(frozen=True)
 class OctopoleMoments:
@@ -82,14 +73,6 @@ class OctopoleMoments:
 
     O_tensor: np.ndarray
     O_contracted: np.ndarray
-
-    @cached_property
-    def potential_block(self) -> np.ndarray:
-        """(3, 13) coefficients of the 1/r^4 potential: 7.5 O[i, j, k, l] per sorted triple, then -1.5 O_contracted[i, p]."""
-        J, K, L = TRIPLE_COLUMNS
-        block = np.hstack([7.5 * self.O_tensor[:, J, K, L], -1.5 * self.O_contracted])
-        block.flags.writeable = False
-        return block
 
 
 def _moment_grid(spec: KnotSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -37,6 +37,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammaln, gammasgn, spherical_jn
 
 from .angular import DirectionCosineMonomial, monomial_expansion
 from .born import ScatteringKinematics
@@ -50,35 +51,13 @@ _SQ = math.sqrt
 _PI = math.pi
 
 
-def _bind_scipy_special() -> None:
-    # scipy.special is imported by the first call of any stub below, and its
-    # functions are bound over the stubs: importing the package loads no scipy module
-    global _gammaln, _gammasgn, _spherical_jn
-    from scipy.special import gammaln as _gammaln, gammasgn as _gammasgn, spherical_jn as _spherical_jn
-
-
-def _gammaln(x):
-    _bind_scipy_special()
-    return _gammaln(x)
-
-
-def _gammasgn(x):
-    _bind_scipy_special()
-    return _gammasgn(x)
-
-
-def _spherical_jn(l, x):
-    _bind_scipy_special()
-    return _spherical_jn(l, x)
-
-
 def gamma_ratio(numerator_arg: float, denominator_arg: float) -> float:
     """Gamma(a) / Gamma(b), evaluated stably in log space with signs."""
     for arg in (numerator_arg, denominator_arg):
         if arg <= 0 and float(arg).is_integer():
             raise DegenerateClosedForm(f"gamma pole at argument {arg}")
-    sign = _gammasgn(numerator_arg) * _gammasgn(denominator_arg)
-    return float(sign * math.exp(_gammaln(numerator_arg) - _gammaln(denominator_arg)))
+    sign = gammasgn(numerator_arg) * gammasgn(denominator_arg)
+    return float(sign * math.exp(gammaln(numerator_arg) - gammaln(denominator_arg)))
 
 
 #: Allowed weight powers: the integrand written as r**weight_power * J_{l+1/2}(k r)
@@ -162,7 +141,7 @@ def _bessel_zeros_from(l: int, start: float, count: int) -> list[float]:
         # one spherical_jn call per block; the cumulative sum adds step by
         # step, so the grid is the one a scalar march x += step would visit
         xs = np.cumsum(np.concatenate(([x], np.full(block, step))))
-        fs = _spherical_jn(l, xs)
+        fs = spherical_jn(l, xs)
         for i in range(block):
             if len(zeros) == count:
                 return zeros
@@ -170,7 +149,7 @@ def _bessel_zeros_from(l: int, start: float, count: int) -> list[float]:
                 zeros.append(float(xs[i]))
             elif fs[i] * fs[i + 1] < 0.0:
                 zeros.append(
-                    brentq(lambda t: _spherical_jn(l, t), xs[i], xs[i + 1], xtol=1e-13, rtol=1e-15)
+                    brentq(lambda t: spherical_jn(l, t), xs[i], xs[i + 1], xtol=1e-13, rtol=1e-15)
                 )
         x = float(xs[-1])
 
@@ -182,7 +161,7 @@ def _panel_integral(l: int, s: int, lo: float, hi: float) -> float:
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     x = mid + half * _GL_NODES
-    return float(half * np.sum(_GL_WEIGHTS * _spherical_jn(l, x) / x**s))
+    return float(half * np.sum(_GL_WEIGHTS * spherical_jn(l, x) / x**s))
 
 
 def _head_integral(l: int, s: int, a: float, z0: float) -> float:

@@ -19,10 +19,9 @@ is the multipole truncation through octopole order,
 whose difference from the exact field decays one power faster (1/r^5). The
 sums run over unordered index tuples, each counted once, with the numeric
 factors outside; the dipole (1/r^2) order is absent because the tangent
-integrates to zero around a closed curve. Each moments object caches its
-coefficients with those factors folded in (``potential_block``), so the
-truncation is one gather of the monomials R_j R_k, 1, R_j R_k R_l, R_p and
-one matmul per order.
+integrates to zero around a closed curve. With each factor and power of 1/r
+folded into its monomial R_j R_k, 1, R_j R_k R_l or R_p, the truncation is
+one gather of the monomials, one of the moment entries and one matmul.
 """
 
 from __future__ import annotations
@@ -43,12 +42,18 @@ RESOLVED_SPAN = 48.0
 
 # (t x s)_i = G[a_i, b_i] - G[b_i, a_i] for G[a, b] = sum s_a t_b
 _CROSS_A, _CROSS_B = (2, 0, 1), (1, 2, 0)
-# Index triples into (R_x, R_y, R_z, 1) whose products are the columns of
-# QuadrupoleMoments.potential_block (R_j R_k, then 1) and
-# OctopoleMoments.potential_block (R_j R_k R_l, then R_p).
+# The truncation as 20 terms: monomials of (R_x, R_y, R_z, 1), given by index
+# triples (R_j R_k, then 1 at order 1/r^3; R_j R_k R_l, then R_p at 1/r^4),
+# each with its numeric factor and its column in the concatenated moment rows
+# (Q_tensor flattened, Q_trace, O_tensor flattened, O_contracted).
 _MONOMIALS = np.array(
     [(j, k, 3) for j, k in SORTED_PAIRS] + [(3, 3, 3)] + list(SORTED_TRIPLES) + [(p, 3, 3) for p in range(3)]
 ).T
+_FACTORS = np.array([3.0] * 6 + [1.0] + [7.5] * 10 + [-1.5] * 3)
+_COEFFICIENTS = np.array(
+    [3 * j + k for j, k in SORTED_PAIRS] + [9] + [10 + 9 * j + 3 * k + l for j, k, l in SORTED_TRIPLES] + [37, 38, 39]
+)
+_QUADRUPOLE_TERMS = 7
 
 
 @dataclass(frozen=True)
@@ -193,15 +198,18 @@ def _multipole_components(
     """Multipole potential at radii r (n,) and unit directions dirs (n, 3)."""
     if order not in ("quadrupole", "octopole"):
         raise ValueError(f"order must be 'quadrupole' or 'octopole', got {order!r}")
-    # the columns of both potential blocks as monomials of (R_x, R_y, R_z, 1), in one gather
+    # every term's monomial times its factor and radial power, in one gather
     padded = np.ones((len(r), 4))
     padded[:, :3] = dirs
-    monomials = padded[:, _MONOMIALS].prod(axis=1)
+    terms = padded[:, _MONOMIALS].prod(axis=1) * _FACTORS
     inv_r3 = (1.0 / r**3)[:, None]
-    out = monomials[:, :7] @ quad.potential_block.T * inv_r3
-    if order == "octopole":
-        out += monomials[:, 7:] @ octo.potential_block.T * (inv_r3 / r[:, None])
-    return out
+    terms[:, :_QUADRUPOLE_TERMS] *= inv_r3
+    terms[:, _QUADRUPOLE_TERMS:] *= inv_r3 / r[:, None]
+    width = _QUADRUPOLE_TERMS if order == "quadrupole" else len(_FACTORS)
+    rows = np.concatenate(
+        (quad.Q_tensor.reshape(3, 9), quad.Q_trace[:, None], octo.O_tensor.reshape(3, 27), octo.O_contracted), axis=1
+    )
+    return terms[:, :width] @ rows[:, _COEFFICIENTS[:width]].T
 
 
 def multipole_potential(

