@@ -6,18 +6,23 @@ the exterior of the cutoff sphere r = lambda0 is
     V_ni = -(g / 4 pi) * integral_{r > lambda0} e^{i q.r} A~(x) . K  dV,
 
 with q = k_i - k_n (momentum transfer), K = k_i + k_n, g the coupling
-prefactor, and A~ the unit-prefactor multipole potential. Expanding the
-plane wave over spherical harmonics collapses the volume integral into the
-angular brackets and radial coefficient maps of the sibling modules, giving
-four closed-form pieces:
+prefactor, and A~ the unit-prefactor multipole potential. Its octopole
+truncation is the term table of potential.py: 20 terms, each a moment row,
+a numeric factor and a direction-cosine monomial at order 1/r^3 or 1/r^4.
+Expanding the plane wave over spherical harmonics transforms the terms one
+by one: term t contributes -g (K . row_t) factor_t bracket(monomial_t, C)
+with the radial coefficient map C = A at 1/r^3 and B at 1/r^4 (angular and
+radial modules). Grouped by the table's piece slices, the terms give
 
     v1 = -g       sum_{j<=k}   [sum_i 3 K_i Q^i_{jk}]  bracket(R_j R_k, A)
     v2 = -g       [sum_i K_i Q^i_trace]                sqrt(4 pi) A(0, 0)
     v3 = -(15/2)g sum_{j<=k<=l} [sum_i K_i O^i_{jkl}]  bracket(R_j R_k R_l, B)
     v4 = +(3/2)g  sum_p        [sum_i K_i Oc^i_p]      bracket(R_p, B)
 
-triad_amplitude assembles the factorized combination of three unknot
-amplitudes that the torus-knot amplitude is predicted to equal;
+triad_amplitude is the same contraction on a linear combination of unknot
+moment rows (p/2 times the planar unknot's quadrupole rows, -q/2 times the
+two vertical unknots' octopole rows): the factorized combination of three
+unknot amplitudes that the torus-knot amplitude is predicted to equal.
 factorization_residual measures that claim on random kinematics. The energy
 delta function of the full S matrix is stripped throughout: everything here
 is the reduced on-shell element V_ni.
@@ -33,14 +38,8 @@ import numpy as np
 
 from .angular import DirectionCosineMonomial, angular_bracket
 from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, check_cutoff
-from .multipole import (
-    SORTED_PAIRS,
-    SORTED_TRIPLES,
-    OctopoleMoments,
-    QuadrupoleMoments,
-    octopole_moments,
-    quadrupole_moments,
-)
+from .multipole import octopole_moments, quadrupole_moments
+from .potential import _FACTORS, _MONOMIALS, _PIECES, _QUADRUPOLE_TERMS, _moment_rows
 from .radial import RadialCoefficients, radial_coefficients
 
 #: Relative on-shell tolerance: inputs farther off the elastic shell are rejected.
@@ -48,6 +47,9 @@ ON_SHELL_RTOL = 1e-12
 
 #: Forward-scattering rejection threshold on |q| / |k_i|.
 FORWARD_RTOL = 1e-12
+
+# Each truncation term's monomial: exponents count the axes 0, 1, 2 in its index triple (3 is the constant)
+_TERM_MONOMIALS = tuple(DirectionCosineMonomial(tuple(np.bincount(term, minlength=4)[:3].tolist())) for term in _MONOMIALS.T)
 
 
 @dataclass(frozen=True)
@@ -145,63 +147,34 @@ class BornAmplitude:
         return self.v1 + self.v2 + self.v3 + self.v4
 
 
-def vni_quadrupole(
-    quad: QuadrupoleMoments,
-    kin: ScatteringKinematics,
-    radial: RadialCoefficients,
-    g: float,
-) -> tuple[complex, complex]:
-    """Quadrupole pieces: tensor part v1 and trace part v2."""
-    K = kin.K_vec
-    v1 = 0.0 + 0.0j
-    for j, k in SORTED_PAIRS:
-        weight = 3.0 * float(K @ quad.Q_tensor[:, j, k])
-        if weight != 0.0:
-            expo = [0, 0, 0]
-            expo[j] += 1
-            expo[k] += 1
-            v1 += weight * angular_bracket(DirectionCosineMonomial(tuple(expo)), radial.A)
-    v2 = float(K @ quad.Q_trace) * math.sqrt(4.0 * math.pi) * radial.A[(0, 0)]
-    return -g * v1, -g * v2
-
-
-def vni_octopole(
-    octo: OctopoleMoments,
-    kin: ScatteringKinematics,
-    radial: RadialCoefficients,
-    g: float,
-) -> tuple[complex, complex]:
-    """Octopole pieces: rank-3 tensor part v3 and contracted part v4."""
-    K = kin.K_vec
-    v3 = 0.0 + 0.0j
-    for j, k, l in SORTED_TRIPLES:
-        weight = float(K @ octo.O_tensor[:, j, k, l])
-        if weight != 0.0:
-            expo = [0, 0, 0]
-            expo[j] += 1
-            expo[k] += 1
-            expo[l] += 1
-            v3 += weight * angular_bracket(DirectionCosineMonomial(tuple(expo)), radial.B)
-    v4 = 0.0 + 0.0j
-    for p in range(3):
-        weight = float(K @ octo.O_contracted[:, p])
-        if weight != 0.0:
-            expo = [0, 0, 0]
-            expo[p] = 1
-            v4 += weight * angular_bracket(DirectionCosineMonomial(tuple(expo)), radial.B)
-    return -7.5 * g * v3, 1.5 * g * v4
-
-
-def _assemble(
-    quad: QuadrupoleMoments,
-    octo: OctopoleMoments,
-    kin: ScatteringKinematics,
-    radial: RadialCoefficients,
-    g: float,
+def _pieces(
+    rows: np.ndarray, kin: ScatteringKinematics, radial: RadialCoefficients, g: float
 ) -> BornAmplitude:
-    v1, v2 = vni_quadrupole(quad, kin, radial, g)
-    v3, v4 = vni_octopole(octo, kin, radial, g)
-    return BornAmplitude(v1=v1, v2=v2, v3=v3, v4=v4)
+    """The four pieces from (3, 20) moment rows in the order of potential.py's term table.
+
+    Term t has weight (K . row_t) factor_t and contributes its weight times
+    the bracket of its monomial with radial.A (1/r^3) or radial.B (1/r^4);
+    each piece is -g times the sum over its slice of terms.
+    """
+    weights = (kin.K_vec @ rows * _FACTORS).tolist()
+    terms = [
+        weight * angular_bracket(mono, radial.A if t < _QUADRUPOLE_TERMS else radial.B) if weight != 0.0 else 0.0
+        for t, (weight, mono) in enumerate(zip(weights, _TERM_MONOMIALS))
+    ]
+    return BornAmplitude(*(-g * sum(terms[piece], 0j) for piece in _PIECES))
+
+
+def _spec_rows(spec: KnotSpec) -> np.ndarray:
+    return _moment_rows(quadrupole_moments(spec), octopole_moments(spec))
+
+
+def _triad_rows(p: int, q: int) -> np.ndarray:
+    # the pieces are linear in the rows, so the triad's rows are the unknots' rows combined
+    planar = _spec_rows(UnknotXY())
+    vertical = _spec_rows(UnknotXZ()) + _spec_rows(UnknotYZ())
+    return np.concatenate(
+        (0.5 * p * planar[:, :_QUADRUPOLE_TERMS], -0.5 * q * vertical[:, _QUADRUPOLE_TERMS:]), axis=1
+    )
 
 
 def born_amplitude(spec: KnotSpec, kin: ScatteringKinematics, g: float = 1.0) -> BornAmplitude:
@@ -214,23 +187,7 @@ def born_amplitude(spec: KnotSpec, kin: ScatteringKinematics, g: float = 1.0) ->
     ValueError (curves.check_cutoff).
     """
     check_cutoff(spec, kin.lambda0)
-    quad = quadrupole_moments(spec)
-    octo = octopole_moments(spec)
-    return _assemble(quad, octo, kin, radial_coefficients(kin), g)
-
-
-def _triad(p: int, q: int, kin: ScatteringKinematics, radial: RadialCoefficients, g: float) -> BornAmplitude:
-    planar = quadrupole_moments(UnknotXY())
-    v1, v2 = vni_quadrupole(planar, kin, radial, g)
-    v3 = 0.0 + 0.0j
-    v4 = 0.0 + 0.0j
-    for unknot in (UnknotXZ(), UnknotYZ()):
-        part3, part4 = vni_octopole(octopole_moments(unknot), kin, radial, g)
-        v3 += part3
-        v4 += part4
-    return BornAmplitude(
-        v1=0.5 * p * v1, v2=0.5 * p * v2, v3=-0.5 * q * v3, v4=-0.5 * q * v4
-    )
+    return _pieces(_spec_rows(spec), kin, radial_coefficients(kin), g)
 
 
 def triad_amplitude(p: int, q: int, kin: ScatteringKinematics, g: float = 1.0) -> BornAmplitude:
@@ -245,7 +202,7 @@ def triad_amplitude(p: int, q: int, kin: ScatteringKinematics, g: float = 1.0) -
     if gcd(p, q) != 1:
         raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
     check_cutoff(TorusKnot(p, q), kin.lambda0)
-    return _triad(p, q, kin, radial_coefficients(kin), g)
+    return _pieces(_triad_rows(p, q), kin, radial_coefficients(kin), g)
 
 
 def factorization_residual(
@@ -253,20 +210,21 @@ def factorization_residual(
 ) -> float:
     """Worst relative defect of the triad factorization over the samples.
 
-    The radial coefficients are evaluated once per kinematics and shared by
-    the direct amplitude and the triad prediction.
+    Both row sets are built once, and the radial coefficients are evaluated
+    once per kinematics and shared by the direct amplitude and the triad
+    prediction.
     """
     if not kin_samples:
         raise ValueError("at least one kinematics sample is required")
     spec = TorusKnot(p, q)
-    quad = quadrupole_moments(spec)
-    octo = octopole_moments(spec)
+    direct_rows = _spec_rows(spec)
+    triad_rows = _triad_rows(p, q)
     worst = 0.0
     for kin in kin_samples:
         check_cutoff(spec, kin.lambda0)
         radial = radial_coefficients(kin)
-        direct = _assemble(quad, octo, kin, radial, g).total
-        predicted = _triad(p, q, kin, radial, g).total
+        direct = _pieces(direct_rows, kin, radial, g).total
+        predicted = _pieces(triad_rows, kin, radial, g).total
         worst = max(worst, abs(direct - predicted) / max(abs(direct), 1e-300))
     return worst
 

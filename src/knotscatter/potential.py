@@ -21,7 +21,11 @@ sums run over unordered index tuples, each counted once, with the numeric
 factors outside; the dipole (1/r^2) order is absent because the tangent
 integrates to zero around a closed curve. With each factor and power of 1/r
 folded into its monomial R_j R_k, 1, R_j R_k R_l or R_p, the truncation is
-one gather of the monomials, one of the moment entries and one matmul.
+one gather of the monomials, one of the moment entries and one matmul. This
+20-term table is the one statement of the truncation: born.py transforms
+the same terms one by one into the Born pieces v1..v4, which are the
+table's slices _PIECES (tensor and trace terms at 1/r^3, then tensor and
+contracted terms at 1/r^4).
 """
 
 from __future__ import annotations
@@ -53,44 +57,49 @@ _FACTORS = np.array([3.0] * 6 + [1.0] + [7.5] * 10 + [-1.5] * 3)
 _COEFFICIENTS = np.array(
     [3 * j + k for j, k in SORTED_PAIRS] + [9] + [10 + 9 * j + 3 * k + l for j, k, l in SORTED_TRIPLES] + [37, 38, 39]
 )
-_QUADRUPOLE_TERMS = 7
+# The terms of each Born piece v1..v4: R_j R_k and 1 at 1/r^3, then R_j R_k R_l and R_p at 1/r^4.
+_PIECES = (slice(0, 6), slice(6, 7), slice(7, 17), slice(17, 20))
+_QUADRUPOLE_TERMS = _PIECES[2].start
 
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """Observation point in spherical coordinates, r > 0."""
+    """Observation point, stored as the Cartesian coordinates it was given; not the origin."""
 
-    r: float
-    theta: float
-    phi: float
+    x: float
+    y: float
+    z: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"field point radius must be positive and finite, got {self.r}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("field point angles must be finite")
+        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+            raise ValueError("field point coordinates must be finite")
+        if self.r == 0.0:
+            raise ValueError("field point at the origin has no direction")
 
     @classmethod
     def from_spherical(cls, r: float, theta: float, phi: float) -> "FieldPoint":
-        return cls(r=float(r), theta=float(theta), phi=float(phi))
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"field point radius must be positive and finite, got {r}")
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError("field point angles must be finite")
+        st = math.sin(theta)
+        return cls(x=r * st * math.cos(phi), y=r * st * math.sin(phi), z=r * math.cos(theta))
 
     @classmethod
     def from_cartesian(cls, x: float, y: float, z: float) -> "FieldPoint":
-        r = math.sqrt(x * x + y * y + z * z)
-        if r == 0.0:
-            raise ValueError("field point at the origin has no direction")
-        return cls(r=r, theta=math.acos(max(-1.0, min(1.0, z / r))), phi=math.atan2(y, x))
+        return cls(x=float(x), y=float(y), z=float(z))
+
+    @property
+    def r(self) -> float:
+        return math.hypot(self.x, self.y, self.z)
 
     @property
     def direction_cosines(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return self.cartesian / self.r
 
     @property
     def cartesian(self) -> np.ndarray:
-        return self.r * self.direction_cosines
+        return np.array([self.x, self.y, self.z])
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,14 @@ def biot_savart_dipole_line(spec: KnotSpec, point: FieldPoint) -> VectorPotentia
     return VectorPotentialValue(ax=values[0, 0], ay=values[0, 1], az=values[0, 2])
 
 
+def _moment_rows(quad: QuadrupoleMoments, octo: OctopoleMoments) -> np.ndarray:
+    """The (3, 20) moment entries of the truncation's terms: column t is the moment row of term t."""
+    rows = np.concatenate(
+        (quad.Q_tensor.reshape(3, 9), quad.Q_trace[:, None], octo.O_tensor.reshape(3, 27), octo.O_contracted), axis=1
+    )
+    return rows[:, _COEFFICIENTS]
+
+
 def _multipole_components(
     quad: QuadrupoleMoments,
     octo: OctopoleMoments,
@@ -206,10 +223,7 @@ def _multipole_components(
     terms[:, :_QUADRUPOLE_TERMS] *= inv_r3
     terms[:, _QUADRUPOLE_TERMS:] *= inv_r3 / r[:, None]
     width = _QUADRUPOLE_TERMS if order == "quadrupole" else len(_FACTORS)
-    rows = np.concatenate(
-        (quad.Q_tensor.reshape(3, 9), quad.Q_trace[:, None], octo.O_tensor.reshape(3, 27), octo.O_contracted), axis=1
-    )
-    return terms[:, :width] @ rows[:, _COEFFICIENTS[:width]].T
+    return terms[:, :width] @ _moment_rows(quad, octo)[:, :width].T
 
 
 def multipole_potential(

@@ -7,18 +7,25 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from knotscatter import (
+    DirectionCosineMonomial,
     SampledCurve,
     ScatteringKinematics,
     TorusKnot,
     UnknotXY,
+    UnknotXZ,
+    UnknotYZ,
     born_amplitude,
     factorization_residual,
+    octopole_moments,
+    quadrupole_moments,
     random_kinematics,
     triad_amplitude,
 )
 from knotscatter.born import amplitude_to_dict
 from knotscatter.curves import sampled_from_spec
-from knotscatter.oracles import BruteforceGrid, vni_bruteforce
+from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
+from knotscatter.oracles import BruteforceGrid, sphere_quadrature_bracket, vni_bruteforce
+from knotscatter.radial import radial_coefficients
 
 KIN = ScatteringKinematics.from_angles(0.5, 0.4, 1.1, 2.0, -0.6)
 
@@ -113,6 +120,59 @@ def test_axis_aligned_momentum_sum_turns_off_octopole_terms():
     assert scale > 0
     assert abs(amp.v3) < 1e-12 * scale
     assert abs(amp.v4) < 1e-12 * scale
+
+
+def _noisy_curve():
+    base = np.asarray(sampled_from_spec(TorusKnot(2, 3), 300).points)
+    return SampledCurve.from_array(base + 0.05 * np.random.default_rng(17).normal(size=base.shape))
+
+
+def _kinematics_at(a, lambda0):
+    # the README angles, with k scaled so that |q| lambda0 = a
+    unit = ScatteringKinematics.from_angles(1.0, 0.4, 1.1, 2.0, -0.6, lambda0)
+    return ScatteringKinematics.from_angles(a / (unit.q_mag * lambda0), 0.4, 1.1, 2.0, -0.6, lambda0)
+
+
+def _docstring_pieces(spec, kin, g):
+    # v1..v4 written out as born's module docstring states them, bracket by sphere quadrature
+    quad, octo = quadrupole_moments(spec), octopole_moments(spec)
+    radial = radial_coefficients(kin)
+    K = kin.K_vec
+
+    def bracket(indices, coeffs):
+        mono = DirectionCosineMonomial(tuple(indices.count(axis) for axis in range(3)))
+        return sphere_quadrature_bracket(mono, coeffs)
+
+    v1 = -g * sum(3 * (K @ quad.Q_tensor[:, j, k]) * bracket((j, k), radial.A) for j, k in SORTED_PAIRS)
+    v2 = -g * (K @ quad.Q_trace) * math.sqrt(4 * math.pi) * radial.A[(0, 0)]
+    v3 = -7.5 * g * sum((K @ octo.O_tensor[:, j, k, l]) * bracket((j, k, l), radial.B) for j, k, l in SORTED_TRIPLES)
+    v4 = 1.5 * g * sum((K @ octo.O_contracted[:, p]) * bracket((p,), radial.B) for p in range(3))
+    return np.array([v1, v2, v3, v4])
+
+
+@pytest.mark.parametrize(
+    "spec,lambda0",
+    [(TorusKnot(2, 3), 3.5), (TorusKnot(3, 2), 3.5), (UnknotXZ(), 3.5), (_noisy_curve(), 4.5)],
+    ids=["torus-2-3", "torus-3-2", "unknot-xz", "noisy-300"],
+)
+def test_each_piece_is_its_docstring_formula(spec, lambda0):
+    # both sides of the radial switch at a = 2; every piece is checked, so a
+    # term moved from one piece to another fails
+    for a in (1e-3, 0.4, 1.9, 2.1, 9.0, 80.0, 700.0):
+        kin = _kinematics_at(a, lambda0)
+        got = _components(born_amplitude(spec, kin, -1.7))
+        want = _docstring_pieces(spec, kin, -1.7)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), a
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (5, 7), (3, 2), (1, 1)])
+def test_triad_is_the_unknot_combination(p, q):
+    # resonant (3, 2) and (1, 1) included: the triad is defined by its unknots, whatever the torus knot does
+    for kin in random_kinematics(np.random.default_rng(61), 0.9, 3.5, 4):
+        planar = _components(born_amplitude(UnknotXY(), kin))
+        vertical = _components(born_amplitude(UnknotXZ(), kin)) + _components(born_amplitude(UnknotYZ(), kin))
+        want = np.concatenate((0.5 * p * planar[:2], -0.5 * q * vertical[2:]))
+        np.testing.assert_allclose(_components(triad_amplitude(p, q, kin)), want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (4, 5), (5, 7), (2, 7)])

@@ -196,6 +196,18 @@ def test_one_point_call_is_a_row_of_the_batch():
     np.testing.assert_array_equal(one, batch)
 
 
+def test_one_point_call_evaluates_the_given_coordinates():
+    # FieldPoint keeps x, y, z as given, so no spherical round trip moves the point
+    base = np.asarray(sampled_from_spec(TorusKnot(2, 3), 300).points)
+    rng = np.random.default_rng(12)
+    curve = SampledCurve.from_array(base + 0.05 * rng.normal(size=base.shape))
+    directions = rng.normal(size=(50, 3))
+    points = rng.uniform(5.0, 60.0, (50, 1)) * directions / np.linalg.norm(directions, axis=1)[:, None]
+    for x in points:
+        one = biot_savart_dipole_line(curve, FieldPoint.from_cartesian(*x)).vector
+        np.testing.assert_array_equal(one, _biot_savart_batch(curve, x[None])[0])
+
+
 def test_biot_savart_refusal_boundary():
     # the refusal distance is RESOLVED_SPAN * max|r'| / MAX_SAMPLES, 1.37e-4 for
     # the unknot of speed 3; its tau = 0 sample sits at (3, 0, 0)
@@ -324,7 +336,13 @@ def test_field_point_validation_and_roundtrip():
     with pytest.raises(ValueError):
         FieldPoint.from_spherical(1.0, math.nan, 0.0)
     with pytest.raises(ValueError):
+        FieldPoint.from_spherical(math.inf, 1.0, 1.0)
+    with pytest.raises(ValueError):
         FieldPoint.from_cartesian(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        FieldPoint.from_cartesian(1.0, math.nan, 0.0)
+    with pytest.raises(ValueError):
+        FieldPoint.from_cartesian(math.inf, 0.0, 0.0)
     with pytest.raises(ValueError):
         multipole_potential(
             quadrupole_moments(UnknotXY()),
@@ -334,6 +352,10 @@ def test_field_point_validation_and_roundtrip():
         )
 
     point = FieldPoint.from_cartesian(3.0, -4.0, 12.0)
-    assert point.r == pytest.approx(13.0)
-    np.testing.assert_allclose(point.cartesian, [3.0, -4.0, 12.0], atol=1e-12)
+    assert point.r == 13.0
+    np.testing.assert_array_equal(point.cartesian, [3.0, -4.0, 12.0])
+    spherical = FieldPoint.from_spherical(2.0, 0.7, -2.1)
+    want = [math.sin(0.7) * math.cos(-2.1), math.sin(0.7) * math.sin(-2.1), math.cos(0.7)]
+    np.testing.assert_allclose(spherical.direction_cosines, want, rtol=1e-15)
+    assert spherical.r == pytest.approx(2.0, rel=1e-15)
     assert np.linalg.norm(point.direction_cosines) == pytest.approx(1.0, abs=1e-15)
