@@ -9,15 +9,26 @@ with q = k_i - k_n (momentum transfer), K = k_i + k_n, g the coupling
 prefactor, and A~ the unit-prefactor multipole potential. Its octopole
 truncation is the term table of potential.py: 20 terms, each a moment row,
 a numeric factor and a direction-cosine monomial at order 1/r^3 or 1/r^4.
-Expanding the plane wave over spherical harmonics transforms the terms one
-by one: term t contributes -g (K . row_t) factor_t bracket(monomial_t, C)
-with the radial coefficient map C = A at 1/r^3 and B at 1/r^4 (angular and
-radial modules). Grouped by the table's piece slices, the terms give
+The Fourier transform is taken one term at a time: term t contributes
+-g (K . row_t) factor_t bracket_t. By the addition theorem (DLMF 14.30.9)
+the plane wave weights the degree-l harmonic part of the term's monomial at
+qhat by i^l rho(l) (radial module), and a monomial of degree n has parts of
+degree n and n - 2 only. With value_t the monomial at qhat, its lower part
+low_t = 1, qhat_p, delta_jk / 3 or P_jkl for 1, R_p, R_j R_k or R_j R_k R_l,
 
-    v1 = -g       sum_{j<=k}   [sum_i 3 K_i Q^i_{jk}]  bracket(R_j R_k, A)
-    v2 = -g       [sum_i K_i Q^i_trace]                sqrt(4 pi) A(0, 0)
-    v3 = -(15/2)g sum_{j<=k<=l} [sum_i K_i O^i_{jkl}]  bracket(R_j R_k R_l, B)
-    v4 = +(3/2)g  sum_p        [sum_i K_i Oc^i_p]      bracket(R_p, B)
+    P_jkl = (delta_jk qhat_l + delta_jl qhat_k + delta_kl qhat_j) / 5,
+
+and k = |q|, the brackets are
+
+    1/r^3 terms:  bracket_t = rho_A(0) low_t - rho_A(2) (value_t - low_t)
+    1/r^4 terms:  bracket_t = i k [rho_B(1) low_t - rho_B(3) (value_t - low_t)]
+
+Grouped by the table's piece slices, the terms give
+
+    v1 = -g       sum_{j<=k}   [sum_i 3 K_i Q^i_{jk}]  bracket(R_j R_k)
+    v2 = -g       [sum_i K_i Q^i_trace]                rho_A(0)
+    v3 = -(15/2)g sum_{j<=k<=l} [sum_i K_i O^i_{jkl}]  bracket(R_j R_k R_l)
+    v4 = +(3/2)g  sum_p        [sum_i K_i Oc^i_p]      bracket(R_p)
 
 triad_amplitude is the same contraction on a linear combination of unknot
 moment rows (p/2 times the planar unknot's quadrupole rows, -q/2 times the
@@ -32,11 +43,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
-from .angular import DirectionCosineMonomial, angular_bracket
 from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, check_cutoff
 from .multipole import octopole_moments, quadrupole_moments
 from .potential import _FACTORS, _MONOMIALS, _PIECES, _QUADRUPOLE_TERMS, _moment_rows
@@ -48,8 +57,22 @@ ON_SHELL_RTOL = 1e-12
 #: Forward-scattering rejection threshold on |q| / |k_i|.
 FORWARD_RTOL = 1e-12
 
-# Each truncation term's monomial: exponents count the axes 0, 1, 2 in its index triple (3 is the constant)
-_TERM_MONOMIALS = tuple(DirectionCosineMonomial(tuple(np.bincount(term, minlength=4)[:3].tolist())) for term in _MONOMIALS.T)
+
+def _lower_part(term: np.ndarray) -> np.ndarray:
+    # low_t over (qhat_x, qhat_y, qhat_z, 1) for one term's index triple (3 is the constant): below
+    # degree 2 the monomial itself, else delta over each index pair times the remaining factor, / (2n - 1)
+    row = np.zeros(4)
+    degree = int((term < 3).sum())
+    if degree < 2:
+        row[term.min()] = 1.0
+        return row
+    for rest in range(3):
+        j, k = np.delete(term, rest)
+        row[term[rest]] += (j == k) / (2 * degree - 1)  # a pair holding the constant's 3 is never equal
+    return row
+
+
+_LOWER_PARTS = np.array([_lower_part(term) for term in _MONOMIALS.T])
 
 
 @dataclass(frozen=True)
@@ -153,15 +176,21 @@ def _pieces(
     """The four pieces from (3, 20) moment rows in the order of potential.py's term table.
 
     Term t has weight (K . row_t) factor_t and contributes its weight times
-    the bracket of its monomial with radial.A (1/r^3) or radial.B (1/r^4);
-    each piece is -g times the sum over its slice of terms.
+    bracket_t (module docstring), from the monomial's value and lower part at
+    qhat; each piece is -g times the sum over its slice of terms. A
+    non-finite g raises ValueError.
     """
-    weights = (kin.K_vec @ rows * _FACTORS).tolist()
-    terms = [
-        weight * angular_bracket(mono, radial.A if t < _QUADRUPOLE_TERMS else radial.B) if weight != 0.0 else 0.0
-        for t, (weight, mono) in enumerate(zip(weights, _TERM_MONOMIALS))
-    ]
-    return BornAmplitude(*(-g * sum(terms[piece], 0j) for piece in _PIECES))
+    if not math.isfinite(g):
+        raise ValueError(f"coupling g must be finite, got {g}")
+    padded = np.append(radial.khat, 1.0)
+    low = _LOWER_PARTS @ padded
+    top = padded[_MONOMIALS].prod(axis=0) - low
+    n = _QUADRUPOLE_TERMS
+    brackets = np.empty(len(_FACTORS), dtype=complex)
+    brackets[:n] = radial.rho_a0 * low[:n] - radial.rho_a2 * top[:n]
+    brackets[n:] = 1j * radial.k * (radial.rho_b1 * low[n:] - radial.rho_b3 * top[n:])
+    terms = kin.K_vec @ rows * _FACTORS * brackets
+    return BornAmplitude(*(complex(-g * terms[piece].sum()) for piece in _PIECES))
 
 
 def _spec_rows(spec: KnotSpec) -> np.ndarray:
@@ -180,8 +209,8 @@ def _triad_rows(p: int, q: int) -> np.ndarray:
 def born_amplitude(spec: KnotSpec, kin: ScatteringKinematics, g: float = 1.0) -> BornAmplitude:
     """Assembled reduced matrix element for a knot and one kinematics.
 
-    Computes the curve's moments, the radial coefficient maps for the
-    momentum transfer, and the four pieces. The reported number multiplies
+    Computes the curve's moments, the radial integrals at the momentum
+    transfer, and the four pieces. The reported number multiplies
     -2 pi i delta(E_n - E_i) in the full S matrix; the delta itself is
     stripped. A cutoff sphere that does not enclose the curve raises
     ValueError (curves.check_cutoff).
@@ -199,7 +228,7 @@ def triad_amplitude(p: int, q: int, kin: ScatteringKinematics, g: float = 1.0) -
     pairs (a q = b p solvable with a <= 3, b <= 2) violate it because extra
     zero-frequency terms survive in the torus moment integrals.
     """
-    if gcd(p, q) != 1:
+    if math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
     check_cutoff(TorusKnot(p, q), kin.lambda0)
     return _pieces(_triad_rows(p, q), kin, radial_coefficients(kin), g)
@@ -210,7 +239,7 @@ def factorization_residual(
 ) -> float:
     """Worst relative defect of the triad factorization over the samples.
 
-    Both row sets are built once, and the radial coefficients are evaluated
+    Both row sets are built once, and the radial integrals are evaluated
     once per kinematics and shared by the direct amplitude and the triad
     prediction.
     """

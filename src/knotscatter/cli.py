@@ -101,10 +101,14 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
-def _positive(name: str, value: float) -> float:
+def _positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
+
+
+def _coupling(value: float) -> None:
+    if not (math.isfinite(value) and value != 0.0):
+        raise ValueError(f"--coupling must be finite and nonzero, got {value}")
 
 
 def cmd_moments(args) -> int:
@@ -151,8 +155,7 @@ def _kinematics_from_args(args) -> ScatteringKinematics:
 
 def cmd_amplitude(args) -> int:
     spec = parse_knot(args.knot)
-    if args.coupling == 0.0:
-        raise ValueError("coupling must be nonzero")
+    _coupling(args.coupling)
     kin = _kinematics_from_args(args)
     amp = born_amplitude(spec, kin, args.coupling)
     document = amplitude_to_dict(kin, amp)
@@ -166,8 +169,7 @@ def cmd_sweep(args) -> int:
     spec = parse_knot(args.knot)
     _positive("--k", args.k)
     _positive("--lambda0", args.lambda0)
-    if args.coupling == 0.0:
-        raise ValueError("coupling must be nonzero")
+    _coupling(args.coupling)
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
@@ -204,8 +206,7 @@ def cmd_factorize(args) -> int:
         raise ValueError(f"(p, q) must be coprime, got ({args.p}, {args.q})")
     _positive("--lambda0", args.lambda0)
     _positive("--threshold", args.threshold)
-    if args.coupling == 0.0:
-        raise ValueError("coupling must be nonzero")
+    _coupling(args.coupling)
     if not 0 < args.k_min <= args.k_max:
         raise ValueError(f"need 0 < --k-min <= --k-max, got {args.k_min}, {args.k_max}")
     if args.n < 1:

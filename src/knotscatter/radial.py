@@ -30,8 +30,10 @@ production error stays below 5e-13 of |rho| for a < 1 and of
 max(|rho|, a^-(s+1)) for a >= 1 (s = 1 for A, 2 for B; the envelope covers
 the zeros of the oscillating tail). The tests hold it to 1e-10.
 
-The full coefficient assembly multiplies in i^l Y_lm(khat), and an extra
-factor k for the B family.
+radial_coefficients returns these four integrals with k and khat of the
+momentum transfer. By the addition theorem (DLMF 14.30.9) born weights a
+monomial's degree-l harmonic part at khat by i^l rho_A(l) at 1/r^3 and by
+i^l k rho_B(l) at 1/r^4 (the brackets and P_jkl are in born's docstring).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import sici
 
-from .specfun import hyp1f2, spherical_harmonic
+from .specfun import hyp1f2
 
 if TYPE_CHECKING:  # pragma: no cover
     from .born import ScatteringKinematics
@@ -59,18 +61,19 @@ _ASYMPTOTIC_A = 60.0
 
 @dataclass(frozen=True)
 class RadialCoefficients:
-    """Assembled radial coefficients for one kinematic configuration.
+    """The four radial integrals of one kinematics, at its momentum transfer.
 
-    A maps (l, m) -> i^l Y_lm(khat) rho_A(l) for l in {0, 2};
-    B maps (l, m) -> i^l k Y_lm(khat) rho_B(l) for l in {1, 3}.
-    khat is the unit vector of the momentum transfer.
+    k and khat are the magnitude and unit vector of the momentum transfer;
+    rho_a0, rho_a2 are rho_A(0), rho_A(2) and rho_b1, rho_b3 are rho_B(1),
+    rho_B(3), all at a = k * lambda0.
     """
 
     k: float
-    lambda0: float
     khat: np.ndarray
-    A: dict
-    B: dict
+    rho_a0: float
+    rho_a2: float
+    rho_b1: float
+    rho_b3: float
 
 
 def _validate_kl(k: float, lambda0: float) -> float:
@@ -126,14 +129,15 @@ def _sin_cos_integral(l: int, s: int, moments: list[complex]) -> float:
     return float(total)
 
 
-def _rho_values(k: float, lambda0: float) -> tuple[dict, dict]:
+def _rho_values(k: float, lambda0: float) -> tuple[float, float, float, float]:
+    """rho_A(0), rho_A(2), rho_B(1), rho_B(3) at a = k * lambda0."""
     a = _validate_kl(k, lambda0)
     if a >= SICI_SWITCH_A:
         moments = _sin_cos_moments(a, 4)
         sin_a, cos_a = math.sin(a), math.cos(a)
-        rho_a = {0: _sin_cos_integral(0, 1, moments), 2: (sin_a / a - cos_a) / a**2}
+        rho_a2 = (sin_a / a - cos_a) / a**2
         rho_b3 = ((3.0 / a**2 - 1.0) * sin_a - 3.0 * cos_a / a) / a**3
-        return rho_a, {1: _sin_cos_integral(1, 2, moments), 3: rho_b3}
+        return _sin_cos_integral(0, 1, moments), rho_a2, _sin_cos_integral(1, 2, moments), rho_b3
     rho_a0 = _sin_cos_integral(0, 1, _sin_cos_moments(a, 2))
     # j_1(a)/a = 0F1(; 5/2; -a^2/4) / 3 and j_2(a)/a^2 = 0F1(; 7/2; -a^2/4) / 15,
     # each written as a 1F2 whose first parameters cancel.
@@ -141,37 +145,18 @@ def _rho_values(k: float, lambda0: float) -> tuple[dict, dict]:
     rho_b3 = hyp1f2(1.0, 1.0, 3.5, -0.25 * a * a) / 15.0
     # rho_B(1) = (rho_A(0) + j_1(a)/a) / 3 (differentiate both sides); the
     # sine/cosine form of rho_B(1) would cancel like 1/a^2 here.
-    return {0: rho_a0, 2: rho_a2}, {1: (rho_a0 + rho_a2) / 3.0, 3: rho_b3}
+    return rho_a0, rho_a2, (rho_a0 + rho_a2) / 3.0, rho_b3
 
 
 def radial_coefficients(kin: "ScatteringKinematics") -> RadialCoefficients:
-    """Radial coefficient maps A(l, m) and B(l, m) for one kinematics.
+    """The radial integrals rho_A(0), rho_A(2), rho_B(1), rho_B(3) for one kinematics.
 
-    A(l, m) = i^l Y_lm(khat) rho_A(l) for l in {0, 2},
-    B(l, m) = i^l k Y_lm(khat) rho_B(l) for l in {1, 3},
-
-    where k and khat are the magnitude and direction of the momentum
-    transfer. With a = k * lambda0, rho_A(2) = j_1(a)/a and rho_B(3) =
-    j_2(a)/a^2 are elementary (their 0F1 series below a = 2, SICI_SWITCH_A);
-    rho_A(0) comes from the sine and cosine integrals, and so does rho_B(1)
-    from a = 2 on, below which it is (rho_A(0) + j_1(a)/a) / 3. Panel
-    quadrature and the 1F2 closed forms are never called; they are oracles
-    for tests and selfcheck. a > 1e3 raises ValueError.
+    They are taken at a = k * lambda0 with k the magnitude of the momentum
+    transfer. rho_A(2) = j_1(a)/a and rho_B(3) = j_2(a)/a^2 are elementary
+    (their 0F1 series below a = 2, SICI_SWITCH_A); rho_A(0) comes from the
+    sine and cosine integrals, and so does rho_B(1) from a = 2 on, below
+    which it is (rho_A(0) + j_1(a)/a) / 3. Panel quadrature and the 1F2
+    closed forms are never called; they are oracles for tests and
+    selfcheck. a > 1e3 raises ValueError.
     """
-    k = kin.q_mag
-    lambda0 = kin.lambda0
-    if k <= 0:
-        raise ValueError("momentum transfer must be nonzero (forward scattering excluded)")
-    khat = kin.q_hat
-    theta = math.acos(max(-1.0, min(1.0, khat[2])))
-    phi = math.atan2(khat[1], khat[0])
-    rho_a, rho_b = _rho_values(k, lambda0)
-    A = {}
-    for l in (0, 2):
-        for m in range(-l, l + 1):
-            A[(l, m)] = (1j) ** l * complex(spherical_harmonic(l, m, theta, phi)) * rho_a[l]
-    B = {}
-    for l in (1, 3):
-        for m in range(-l, l + 1):
-            B[(l, m)] = (1j) ** l * k * complex(spherical_harmonic(l, m, theta, phi)) * rho_b[l]
-    return RadialCoefficients(k=k, lambda0=lambda0, khat=khat, A=A, B=B)
+    return RadialCoefficients(kin.q_mag, kin.q_hat, *_rho_values(kin.q_mag, kin.lambda0))

@@ -29,13 +29,14 @@ from knotscatter import (
     random_kinematics,
     sphere_quadrature_bracket,
 )
-from knotscatter.angular import angular_bracket, monomial_expansion
 from knotscatter.curves import sampled_from_spec
 from knotscatter.multipole import dipole_moment
 from knotscatter.oracles import (
     TABULATED_BRACKETS,
+    angular_bracket,
     discrepancy_report,
     divergence_multipole,
+    monomial_expansion,
     radial_A_closed,
     radial_B_closed,
     radial_quadrature,

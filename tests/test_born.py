@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -24,7 +25,8 @@ from knotscatter import (
 from knotscatter.born import amplitude_to_dict
 from knotscatter.curves import sampled_from_spec
 from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
-from knotscatter.oracles import BruteforceGrid, sphere_quadrature_bracket, vni_bruteforce
+from knotscatter.oracles import BruteforceGrid, spherical_harmonic, sphere_quadrature_bracket, vni_bruteforce
+from knotscatter.potential import _FACTORS, _MONOMIALS, _PIECES, _moment_rows
 from knotscatter.radial import radial_coefficients
 
 KIN = ScatteringKinematics.from_angles(0.5, 0.4, 1.1, 2.0, -0.6)
@@ -134,19 +136,30 @@ def _kinematics_at(a, lambda0):
 
 
 def _docstring_pieces(spec, kin, g):
-    # v1..v4 written out as born's module docstring states them, bracket by sphere quadrature
+    # v1..v4 as grouped in born's module docstring, by the harmonic route: the
+    # coefficient maps A(l, m) = i^l Y_lm(qhat) rho_A(l) and B(l, m) =
+    # i^l k Y_lm(qhat) rho_B(l), each bracket by sphere quadrature
     quad, octo = quadrupole_moments(spec), octopole_moments(spec)
     radial = radial_coefficients(kin)
     K = kin.K_vec
+    theta = math.acos(max(-1.0, min(1.0, radial.khat[2])))
+    phi = math.atan2(radial.khat[1], radial.khat[0])
+
+    def harmonic_map(rho, scale):
+        return {(l, m): (1j) ** l * scale * complex(spherical_harmonic(l, m, theta, phi)) * r for l, r in rho.items()
+                for m in range(-l, l + 1)}
+
+    A = harmonic_map({0: radial.rho_a0, 2: radial.rho_a2}, 1.0)
+    B = harmonic_map({1: radial.rho_b1, 3: radial.rho_b3}, radial.k)
 
     def bracket(indices, coeffs):
         mono = DirectionCosineMonomial(tuple(indices.count(axis) for axis in range(3)))
         return sphere_quadrature_bracket(mono, coeffs)
 
-    v1 = -g * sum(3 * (K @ quad.Q_tensor[:, j, k]) * bracket((j, k), radial.A) for j, k in SORTED_PAIRS)
-    v2 = -g * (K @ quad.Q_trace) * math.sqrt(4 * math.pi) * radial.A[(0, 0)]
-    v3 = -7.5 * g * sum((K @ octo.O_tensor[:, j, k, l]) * bracket((j, k, l), radial.B) for j, k, l in SORTED_TRIPLES)
-    v4 = 1.5 * g * sum((K @ octo.O_contracted[:, p]) * bracket((p,), radial.B) for p in range(3))
+    v1 = -g * sum(3 * (K @ quad.Q_tensor[:, j, k]) * bracket((j, k), A) for j, k in SORTED_PAIRS)
+    v2 = -g * (K @ quad.Q_trace) * math.sqrt(4 * math.pi) * A[(0, 0)]
+    v3 = -7.5 * g * sum((K @ octo.O_tensor[:, j, k, l]) * bracket((j, k, l), B) for j, k, l in SORTED_TRIPLES)
+    v4 = 1.5 * g * sum((K @ octo.O_contracted[:, p]) * bracket((p,), B) for p in range(3))
     return np.array([v1, v2, v3, v4])
 
 
@@ -163,6 +176,69 @@ def test_each_piece_is_its_docstring_formula(spec, lambda0):
         got = _components(born_amplitude(spec, kin, -1.7))
         want = _docstring_pieces(spec, kin, -1.7)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), a
+
+
+def _mp_pieces(spec, kin, g):
+    # the bracket formula of born's module docstring in 40-digit arithmetic,
+    # on the same float rho and moment rows as the library
+    radial = radial_coefficients(kin)
+    rows = _moment_rows(quadrupole_moments(spec), octopole_moments(spec))
+    with mpmath.workdps(40):
+        k_i, k_n = ([mpmath.mpf(c) for c in vec] for vec in (kin.k_i, kin.k_n))
+        q = [a - b for a, b in zip(k_i, k_n)]
+        K = [a + b for a, b in zip(k_i, k_n)]
+        k = mpmath.sqrt(sum(c * c for c in q))
+        qhat = [c / k for c in q]
+        rho_a0, rho_a2, rho_b1, rho_b3 = (mpmath.mpf(r) for r in (radial.rho_a0, radial.rho_a2, radial.rho_b1, radial.rho_b3))
+        terms = []
+        for t in range(len(_FACTORS)):
+            axes = [int(i) for i in _MONOMIALS[:, t] if i < 3]
+            value = mpmath.fprod(qhat[i] for i in axes)
+            if len(axes) < 2:
+                low = value
+            elif len(axes) == 2:
+                low = mpmath.mpf(int(axes[0] == axes[1])) / 3
+            else:
+                j, kk, l = axes
+                low = (int(j == kk) * qhat[l] + int(j == l) * qhat[kk] + int(kk == l) * qhat[j]) / 5
+            if len(axes) % 2 == 0:  # R_j R_k and 1 at 1/r^3, R_j R_k R_l and R_p at 1/r^4
+                bracket = rho_a0 * low - rho_a2 * (value - low)
+            else:
+                bracket = 1j * k * (rho_b1 * low - rho_b3 * (value - low))
+            weight = sum(K[i] * mpmath.mpf(rows[i, t]) for i in range(3)) * mpmath.mpf(_FACTORS[t])
+            terms.append(weight * bracket)
+        return np.array([complex(-g * mpmath.fsum(terms[piece])) for piece in _PIECES])
+
+
+def _polar_kinematics(rng, n, lambda0):
+    # a in [1.9, 2.1] around the radial switch, qhat within 1e-4..0.2 rad of
+    # the z axis (either pole), where qhat's polar angle is ill-conditioned
+    kins = []
+    for i in range(n):
+        a, tilt, phi = rng.uniform(1.9, 2.1), 10 ** rng.uniform(-4.0, -0.7), rng.uniform(0.0, 2.0 * math.pi)
+        qhat = np.array([math.sin(tilt) * math.cos(phi), math.sin(tilt) * math.sin(phi), (-1) ** i * math.cos(tilt)])
+        side = np.cross(qhat, rng.normal(size=3))
+        K = rng.uniform(0.2, 2.0) * side / np.linalg.norm(side)
+        q = a / lambda0 * qhat
+        kins.append(ScatteringKinematics(k_i=tuple((K + q) / 2), k_n=tuple((K - q) / 2), lambda0=lambda0))
+    return kins
+
+
+@pytest.mark.parametrize("spec", [TorusKnot(3, 2), TorusKnot(2, 3), UnknotXZ()], ids=["torus-3-2", "torus-2-3", "unknot-xz"])
+def test_pieces_match_a_40_digit_evaluation_of_the_brackets(spec):
+    # isotropic directions at a in [1.9, 2.1] plus near-polar ones, and a
+    # log-spaced a over the accepted range
+    rng = np.random.default_rng(2)
+    kins = _polar_kinematics(rng, 60, 3.5)
+    kins += [_kinematics_at(a, 3.5) for a in np.geomspace(1e-3, 999.0, 25)]
+    for a in np.linspace(1.9, 2.1, 60):
+        unit = random_kinematics(rng, 1.0, 3.5)[0]
+        scale = a / (unit.q_mag * 3.5)
+        kins.append(ScatteringKinematics(k_i=tuple(scale * np.array(unit.k_i)), k_n=tuple(scale * np.array(unit.k_n))))
+    for kin in kins:
+        got = _components(born_amplitude(spec, kin, -1.7))
+        want = _mp_pieces(spec, kin, -1.7)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), kin
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (5, 7), (3, 2), (1, 1)])
@@ -211,6 +287,17 @@ def test_factorization_breaks_on_resonant_pairs():
     kins = random_kinematics(np.random.default_rng(44), 0.5, 3.5, 3)
     assert factorization_residual(3, 2, kins) > 1e-3
     assert factorization_residual(1, 1, kins) > 1e-3
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupling_is_refused(g):
+    # max(0.0, nan) is 0.0, so a NaN coupling once gave a residual of 0.0
+    with pytest.raises(ValueError, match="coupling"):
+        born_amplitude(TorusKnot(2, 3), KIN, g)
+    with pytest.raises(ValueError, match="coupling"):
+        triad_amplitude(2, 3, KIN, g)
+    with pytest.raises(ValueError, match="coupling"):
+        factorization_residual(2, 3, [KIN], g)
 
 
 def test_triad_and_residual_validation():

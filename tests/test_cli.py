@@ -214,6 +214,17 @@ def test_factorize_rejects_zero_coupling(capsys):
     assert "coupling" in err
 
 
+@pytest.mark.parametrize("coupling", ["nan", "inf", "0"])
+@pytest.mark.parametrize("command", ["amplitude", "sweep", "factorize"])
+def test_non_finite_or_zero_coupling_is_config_error(capsys, command, coupling):
+    # a NaN coupling once gave factorize "residual": 0.0 and exit 0, and
+    # amplitude and sweep printed NaN or Infinity, which is not JSON
+    code, out, err = run_cli(capsys, *SUBCOMMAND_ARGV[command], "--coupling", coupling)
+    assert code == 2
+    assert out == ""
+    assert "--coupling" in err
+
+
 def test_factorize_rejects_non_coprime(capsys):
     code, _, err = run_cli(capsys, "factorize", "--p", "2", "--q", "4")
     assert code == 2

@@ -42,7 +42,7 @@ from knotscatter.oracles import (
     radial_reference,
 )
 from knotscatter.radial import _rho_values, radial_coefficients
-from knotscatter.specfun import DegenerateClosedForm, spherical_harmonic
+from knotscatter.specfun import DegenerateClosedForm
 
 LAMBDA0 = 3.5
 
@@ -155,34 +155,13 @@ def test_radial_coefficient_maps():
     coeffs = radial_coefficients(kin)
     # the radial factors are evaluated at the momentum transfer, not at k
     assert coeffs.k == pytest.approx(kin.q_mag)
-    assert sorted(coeffs.A) == [(0, 0), (2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
-    assert sorted(coeffs.B) == [
-        (1, -1), (1, 0), (1, 1),
-        (3, -3), (3, -2), (3, -1), (3, 0), (3, 1), (3, 2), (3, 3),
-    ]
+    np.testing.assert_array_equal(coeffs.khat, kin.q_hat)
 
     q = kin.q_mag
-    rho_a0 = radial_quadrature(-1.5, 0, q, LAMBDA0)
-    assert coeffs.A[(0, 0)] == pytest.approx(rho_a0 / math.sqrt(4.0 * math.pi), rel=1e-10)
-
-    # conjugation symmetry inherited from the harmonics, radial factors real
-    for (l, m), value in coeffs.A.items():
-        want = (-1.0) ** (l + m) * coeffs.A[(l, -m)].conjugate()
-        assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
-    for (l, m), value in coeffs.B.items():
-        want = (-1.0) ** (l + m) * coeffs.B[(l, -m)].conjugate()
-        assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-    # the radial factor is m-independent and the phase is i^l
-    theta = math.acos(kin.q_hat[2])
-    phi = math.atan2(kin.q_hat[1], kin.q_hat[0])
-    rho_a2 = radial_A_closed(2, q, LAMBDA0)
-    for m in range(-2, 3):
-        want = (1j) ** 2 * complex(spherical_harmonic(2, m, theta, phi)) * rho_a2
-        assert coeffs.A[(2, m)] == pytest.approx(want, rel=1e-9, abs=1e-15)
-    rho_b1 = radial_quadrature(-2.5, 1, q, LAMBDA0) / q
-    want = 1j * q * complex(spherical_harmonic(1, 0, theta, phi)) * rho_b1
-    assert coeffs.B[(1, 0)] == pytest.approx(want, rel=1e-9, abs=1e-15)
+    assert coeffs.rho_a0 == pytest.approx(radial_quadrature(-1.5, 0, q, LAMBDA0), rel=1e-10)
+    assert coeffs.rho_a2 == pytest.approx(radial_A_closed(2, q, LAMBDA0), rel=1e-9)
+    assert coeffs.rho_b1 == pytest.approx(radial_quadrature(-2.5, 1, q, LAMBDA0) / q, rel=1e-9)
+    assert coeffs.rho_b3 == pytest.approx(radial_B_closed(3, q, LAMBDA0), rel=1e-9)
 
 
 @settings(deadline=None, max_examples=15)
@@ -226,8 +205,7 @@ def _mp_rho(l, s, a):
 def _production_rho(a):
     """(l, s) -> production value at k * LAMBDA0 and that argument."""
     k = a / LAMBDA0
-    rho_a, rho_b = _rho_values(k, LAMBDA0)
-    return {(0, 1): rho_a[0], (2, 1): rho_a[2], (1, 2): rho_b[1], (3, 2): rho_b[3]}, k * LAMBDA0
+    return dict(zip(((0, 1), (2, 1), (1, 2), (3, 2)), _rho_values(k, LAMBDA0))), k * LAMBDA0
 
 
 def test_production_rho_matches_mpmath_over_the_accepted_range():
@@ -298,8 +276,9 @@ def test_closed_forms_hold_up_to_their_limit(l, s):
 
 
 def test_amplitude_path_never_uses_panel_quadrature(monkeypatch):
-    # the panel quadrature, the 1F2 closed forms and every other oracle live
-    # in knotscatter.oracles, and no layer module binds one of their names
+    # the panel quadrature, the 1F2 closed forms, the spherical harmonics,
+    # Gaunt and Clebsch-Gordan coefficients and every other oracle live in
+    # knotscatter.oracles, and no layer module binds one of their names
     defined = set()
     for node in ast.parse(inspect.getsource(oracles)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -307,12 +286,17 @@ def test_amplitude_path_never_uses_panel_quadrature(monkeypatch):
         elif isinstance(node, ast.Assign):
             defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
     public = {name for name in defined if not name.startswith("_")}
-    assert {"radial_quadrature", "radial_A_closed", "radial_B_closed", "gamma_ratio"} <= public
+    assert {
+        "radial_quadrature", "radial_A_closed", "radial_B_closed", "gamma_ratio",
+        "angular_bracket", "monomial_expansion", "spherical_harmonic", "gaunt", "clebsch_gordan",
+    } <= public
     for layer in ("curves", "multipole", "potential", "radial", "specfun", "angular", "born"):
         module = importlib.import_module(f"knotscatter.{layer}")
         assert not public & set(vars(module)), layer
     for name in public:
-        if inspect.isfunction(getattr(oracles, name)):
+        # functions and their lru_cache wrappers (gaunt, sphere_rule); classes are left alone
+        obj = getattr(oracles, name)
+        if callable(obj) and not inspect.isclass(obj):
 
             def forbidden(*args, name=name, **kwargs):
                 raise AssertionError(f"{name} reached from the amplitude path")
