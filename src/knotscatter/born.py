@@ -34,7 +34,8 @@ triad_amplitude is the same contraction on a linear combination of unknot
 moment rows (p/2 times the planar unknot's quadrupole rows, -q/2 times the
 two vertical unknots' octopole rows): the factorized combination of three
 unknot amplitudes that the torus-knot amplitude is predicted to equal.
-factorization_residual measures that claim on random kinematics. The energy
+factorization_residual measures that claim on random kinematics as a
+relative defect, which the coupling cancels out of. The energy
 delta function of the full S matrix is stripped throughout: everything here
 is the reduced on-shell element V_ni.
 """
@@ -43,13 +44,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, check_cutoff
 from .multipole import octopole_moments, quadrupole_moments
 from .potential import _FACTORS, _MONOMIALS, _PIECES, _QUADRUPOLE_TERMS, _moment_rows
-from .radial import RadialCoefficients, radial_coefficients
+from .radial import radial_coefficients
 
 #: Relative on-shell tolerance: inputs farther off the elastic shell are rejected.
 ON_SHELL_RTOL = 1e-12
@@ -75,14 +77,21 @@ def _lower_part(term: np.ndarray) -> np.ndarray:
 _LOWER_PARTS = np.array([_lower_part(term) for term in _MONOMIALS.T])
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ScatteringKinematics:
     """On-shell incident/outgoing wave vectors and the cutoff radius.
 
     Derived quantities: q_vec = k_i - k_n (momentum transfer), its magnitude
-    and direction, and K_vec = k_i + k_n (which contracts the moment
-    tensors). Off-shell pairs and forward scattering (q = 0, where the
-    monopole radial integral diverges) are rejected.
+    q_mag and direction q_hat, and K_vec = k_i + k_n (which contracts the
+    moment tensors). Each is computed once per instance and the arrays are
+    read-only, so every amplitude on one kinematics shares them. Off-shell
+    pairs and forward scattering (q = 0, where the monopole radial integral
+    diverges) are rejected.
     """
 
     k_i: tuple[float, float, float]
@@ -135,21 +144,21 @@ class ScatteringKinematics:
     def k(self) -> float:
         return math.sqrt(sum(c * c for c in self.k_i))
 
-    @property
+    @cached_property
     def q_vec(self) -> np.ndarray:
-        return np.array(self.k_i) - np.array(self.k_n)
+        return _read_only(np.array(self.k_i) - np.array(self.k_n))
 
-    @property
+    @cached_property
     def q_mag(self) -> float:
         return float(np.linalg.norm(self.q_vec))
 
-    @property
+    @cached_property
     def q_hat(self) -> np.ndarray:
-        return self.q_vec / self.q_mag
+        return _read_only(self.q_vec / self.q_mag)
 
-    @property
+    @cached_property
     def K_vec(self) -> np.ndarray:
-        return np.array(self.k_i) + np.array(self.k_n)
+        return _read_only(np.array(self.k_i) + np.array(self.k_n))
 
     def swapped(self) -> "ScatteringKinematics":
         """Time-reversed pair (k_n -> k_i); useful for Hermiticity checks."""
@@ -171,24 +180,26 @@ class BornAmplitude:
 
 
 def _pieces(
-    rows: np.ndarray, kin: ScatteringKinematics, radial: RadialCoefficients, g: float
+    rows: np.ndarray, kin: ScatteringKinematics, rho: tuple[float, float, float, float], g: float
 ) -> BornAmplitude:
     """The four pieces from (3, 20) moment rows in the order of potential.py's term table.
 
+    rho is radial_coefficients(kin): rho_A(0), rho_A(2), rho_B(1), rho_B(3).
     Term t has weight (K . row_t) factor_t and contributes its weight times
     bracket_t (module docstring), from the monomial's value and lower part at
-    qhat; each piece is -g times the sum over its slice of terms. A
+    kin.q_hat; each piece is -g times the sum over its slice of terms. A
     non-finite g raises ValueError.
     """
     if not math.isfinite(g):
         raise ValueError(f"coupling g must be finite, got {g}")
-    padded = np.append(radial.khat, 1.0)
+    rho_a0, rho_a2, rho_b1, rho_b3 = rho
+    padded = np.append(kin.q_hat, 1.0)
     low = _LOWER_PARTS @ padded
     top = padded[_MONOMIALS].prod(axis=0) - low
     n = _QUADRUPOLE_TERMS
     brackets = np.empty(len(_FACTORS), dtype=complex)
-    brackets[:n] = radial.rho_a0 * low[:n] - radial.rho_a2 * top[:n]
-    brackets[n:] = 1j * radial.k * (radial.rho_b1 * low[n:] - radial.rho_b3 * top[n:])
+    brackets[:n] = rho_a0 * low[:n] - rho_a2 * top[:n]
+    brackets[n:] = 1j * kin.q_mag * (rho_b1 * low[n:] - rho_b3 * top[n:])
     terms = kin.K_vec @ rows * _FACTORS * brackets
     return BornAmplitude(*(complex(-g * terms[piece].sum()) for piece in _PIECES))
 
@@ -226,22 +237,20 @@ def triad_amplitude(p: int, q: int, kin: ScatteringKinematics, g: float = 1.0) -
     vertical unknots scaled by -q/2. For non-resonant coprime (p, q) this
     equals born_amplitude(TorusKnot(p, q), ...) componentwise; resonant
     pairs (a q = b p solvable with a <= 3, b <= 2) violate it because extra
-    zero-frequency terms survive in the torus moment integrals.
+    zero-frequency terms survive in the torus moment integrals. (p, q) that
+    TorusKnot refuses (not positive, not coprime) raise ValueError.
     """
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
     check_cutoff(TorusKnot(p, q), kin.lambda0)
     return _pieces(_triad_rows(p, q), kin, radial_coefficients(kin), g)
 
 
-def factorization_residual(
-    p: int, q: int, kin_samples: list[ScatteringKinematics], g: float = 1.0
-) -> float:
+def factorization_residual(p: int, q: int, kin_samples: list[ScatteringKinematics]) -> float:
     """Worst relative defect of the triad factorization over the samples.
 
-    Both row sets are built once, and the radial integrals are evaluated
-    once per kinematics and shared by the direct amplitude and the triad
-    prediction.
+    Both amplitudes are linear in the coupling, so the relative defect does
+    not depend on it; they are taken at g = 1. Both row sets are built once,
+    and the radial integrals are evaluated once per kinematics and shared by
+    the direct amplitude and the triad prediction.
     """
     if not kin_samples:
         raise ValueError("at least one kinematics sample is required")
@@ -251,9 +260,9 @@ def factorization_residual(
     worst = 0.0
     for kin in kin_samples:
         check_cutoff(spec, kin.lambda0)
-        radial = radial_coefficients(kin)
-        direct = _pieces(direct_rows, kin, radial, g).total
-        predicted = _pieces(triad_rows, kin, radial, g).total
+        rho = radial_coefficients(kin)
+        direct = _pieces(direct_rows, kin, rho, 1.0).total
+        predicted = _pieces(triad_rows, kin, rho, 1.0).total
         worst = max(worst, abs(direct - predicted) / max(abs(direct), 1e-300))
     return worst
 

@@ -34,7 +34,7 @@ from .born import (
     factorization_residual,
     random_kinematics,
 )
-from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, moment_samples, sampled_from_json
+from .curves import KnotSpec, TorusKnot, UnknotXY, UnknotXZ, UnknotYZ, check_cutoff, moment_samples, sampled_from_json
 from .multipole import dipole_moment, moments_to_dict, octopole_moments, quadrupole_moments
 from .potential import FieldPoint, biot_savart_dipole_line, multipole_potential
 from .specfun import NonConvergent
@@ -200,13 +200,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    if args.p < 1 or args.q < 1:
-        raise ValueError(f"p and q must be positive integers, got ({args.p}, {args.q})")
-    if math.gcd(args.p, args.q) != 1:
-        raise ValueError(f"(p, q) must be coprime, got ({args.p}, {args.q})")
     _positive("--lambda0", args.lambda0)
     _positive("--threshold", args.threshold)
-    _coupling(args.coupling)
+    # refuse bad windings or cutoff before drawing --n kinematics
+    check_cutoff(TorusKnot(args.p, args.q), args.lambda0)
     if not 0 < args.k_min <= args.k_max:
         raise ValueError(f"need 0 < --k-min <= --k-max, got {args.k_min}, {args.k_max}")
     if args.n < 1:
@@ -216,7 +213,7 @@ def cmd_factorize(args) -> int:
         random_kinematics(rng, float(rng.uniform(args.k_min, args.k_max)), args.lambda0, 1)[0]
         for _ in range(int(args.n))
     ]
-    residual = factorization_residual(args.p, args.q, kins, args.coupling)
+    residual = factorization_residual(args.p, args.q, kins)
     passed = bool(residual < args.threshold)
     document = {
         "p": args.p,
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=float, default=0.2)
     p.add_argument("--k-max", type=float, default=2.0)
     p.add_argument("--threshold", type=float, default=1e-8)
-    add_shared(p, "--lambda0", "--coupling", "--out")
+    add_shared(p, "--lambda0", "--out")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("selfcheck", help="internal oracle suite")

@@ -47,7 +47,7 @@ from .born import ScatteringKinematics
 from .curves import KnotSpec, TorusKnot, check_cutoff
 from .multipole import OctopoleMoments, QuadrupoleMoments, octopole_moments, quadrupole_moments
 from .potential import FieldPoint, _biot_savart_batch, _multipole_components, multipole_potential
-from .radial import _SIN_COS_FORM, _sin_cos_integral, _sin_cos_moments, _validate_kl
+from .radial import _SIN_COS_FORM, _check_kl, _sin_cos_integral, _sin_cos_moments, _validate_kl
 from .specfun import DegenerateClosedForm, NonConvergent, hyp1f2
 
 _SQ = math.sqrt
@@ -226,8 +226,7 @@ def radial_quadrature(
         raise ValueError(f"weight_power must be one of {WEIGHT_POWERS}, got {weight_power}")
     if not 0 <= l <= 3:
         raise ValueError(f"orders 0 <= l <= 3 supported, got {l}")
-    if k <= 0 or lambda0 <= 0:
-        raise ValueError(f"k and lambda0 must be positive, got k={k}, lambda0={lambda0}")
+    _check_kl(k, lambda0)
     s = 1 if weight_power == -1.5 else 2
     a = k * lambda0
     zeros = _bessel_zeros_from(l, a, n_panels)
@@ -257,8 +256,7 @@ def radial_reference(weight_power: float, l: int, k: float, lambda0: float) -> f
         raise ValueError(f"weight_power must be one of {WEIGHT_POWERS}, got {weight_power}")
     if l not in _SIN_COS_FORM:
         raise ValueError(f"orders 0 <= l <= 3 supported, got {l}")
-    if k <= 0 or lambda0 <= 0:
-        raise ValueError(f"k and lambda0 must be positive, got k={k}, lambda0={lambda0}")
+    _check_kl(k, lambda0)
     s = 1 if weight_power == -1.5 else 2
     moments = _sin_cos_moments(k * lambda0, l + s + 1)
     return _sin_cos_integral(l, s, moments) * k ** (s - 1)

@@ -30,19 +30,18 @@ production error stays below 5e-13 of |rho| for a < 1 and of
 max(|rho|, a^-(s+1)) for a >= 1 (s = 1 for A, 2 for B; the envelope covers
 the zeros of the oscillating tail). The tests hold it to 1e-10.
 
-radial_coefficients returns these four integrals with k and khat of the
-momentum transfer. By the addition theorem (DLMF 14.30.9) born weights a
-monomial's degree-l harmonic part at khat by i^l rho_A(l) at 1/r^3 and by
-i^l k rho_B(l) at 1/r^4 (the brackets and P_jkl are in born's docstring).
+radial_coefficients returns the tuple (rho_A(0), rho_A(2), rho_B(1), rho_B(3))
+at a = |q| lambda0 of one kinematics. By the addition theorem (DLMF 14.30.9)
+born weights a monomial's degree-l harmonic part at qhat by i^l rho_A(l) at
+1/r^3 and by i^l |q| rho_B(l) at 1/r^4 (the brackets and P_jkl are in born's
+docstring).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
 from scipy.special import sici
 
 from .specfun import hyp1f2
@@ -59,26 +58,14 @@ SICI_SWITCH_A = 2.0
 _ASYMPTOTIC_A = 60.0
 
 
-@dataclass(frozen=True)
-class RadialCoefficients:
-    """The four radial integrals of one kinematics, at its momentum transfer.
-
-    k and khat are the magnitude and unit vector of the momentum transfer;
-    rho_a0, rho_a2 are rho_A(0), rho_A(2) and rho_b1, rho_b3 are rho_B(1),
-    rho_B(3), all at a = k * lambda0.
-    """
-
-    k: float
-    khat: np.ndarray
-    rho_a0: float
-    rho_a2: float
-    rho_b1: float
-    rho_b3: float
+def _check_kl(k: float, lambda0: float) -> None:
+    # NaN fails every comparison, so NaN is refused with +-inf and non-positive values
+    if not (0.0 < k < math.inf and 0.0 < lambda0 < math.inf):
+        raise ValueError(f"k and lambda0 must be positive and finite, got k={k}, lambda0={lambda0}")
 
 
 def _validate_kl(k: float, lambda0: float) -> float:
-    if k <= 0 or lambda0 <= 0:
-        raise ValueError(f"k and lambda0 must be positive, got k={k}, lambda0={lambda0}")
+    _check_kl(k, lambda0)
     a = k * lambda0
     if a > 1e3:
         raise ValueError(f"closed forms are restricted to k*lambda0 <= 1e3, got {a}")
@@ -148,15 +135,15 @@ def _rho_values(k: float, lambda0: float) -> tuple[float, float, float, float]:
     return rho_a0, rho_a2, (rho_a0 + rho_a2) / 3.0, rho_b3
 
 
-def radial_coefficients(kin: "ScatteringKinematics") -> RadialCoefficients:
-    """The radial integrals rho_A(0), rho_A(2), rho_B(1), rho_B(3) for one kinematics.
+def radial_coefficients(kin: "ScatteringKinematics") -> tuple[float, float, float, float]:
+    """The radial integrals (rho_A(0), rho_A(2), rho_B(1), rho_B(3)) for one kinematics.
 
-    They are taken at a = k * lambda0 with k the magnitude of the momentum
-    transfer. rho_A(2) = j_1(a)/a and rho_B(3) = j_2(a)/a^2 are elementary
-    (their 0F1 series below a = 2, SICI_SWITCH_A); rho_A(0) comes from the
-    sine and cosine integrals, and so does rho_B(1) from a = 2 on, below
-    which it is (rho_A(0) + j_1(a)/a) / 3. Panel quadrature and the 1F2
-    closed forms are never called; they are oracles for tests and
-    selfcheck. a > 1e3 raises ValueError.
+    They are taken at a = kin.q_mag * kin.lambda0. rho_A(2) = j_1(a)/a and
+    rho_B(3) = j_2(a)/a^2 are elementary (their 0F1 series below a = 2,
+    SICI_SWITCH_A); rho_A(0) comes from the sine and cosine integrals, and
+    so does rho_B(1) from a = 2 on, below which it is
+    (rho_A(0) + j_1(a)/a) / 3. Panel quadrature and the 1F2 closed forms are
+    never called; they are oracles for tests and selfcheck. a > 1e3 raises
+    ValueError.
     """
-    return RadialCoefficients(kin.q_mag, kin.q_hat, *_rho_values(kin.q_mag, kin.lambda0))
+    return _rho_values(kin.q_mag, kin.lambda0)

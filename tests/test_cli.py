@@ -66,7 +66,7 @@ UNREAD_FLAGS = [
     ("potential", "--samples"), ("potential", "--lambda0"), ("potential", "--coupling"), ("potential", "--format"),
     ("amplitude", "--samples"), ("amplitude", "--format"),
     ("sweep", "--samples"), ("sweep", "--format"),
-    ("factorize", "--samples"), ("factorize", "--format"),
+    ("factorize", "--samples"), ("factorize", "--coupling"), ("factorize", "--format"),
     ("selfcheck", "--samples"), ("selfcheck", "--coupling"), ("selfcheck", "--format"),
 ]
 
@@ -207,22 +207,22 @@ def test_cutoff_inside_the_curve_is_config_error(capsys, command, lambda0):
     assert "enclose" in err
 
 
-def test_factorize_rejects_zero_coupling(capsys):
-    code, out, err = run_cli(capsys, "factorize", "--p", "2", "--q", "3", "--n", "3", "--coupling", "0")
-    assert code == 2
-    assert out == ""
-    assert "coupling" in err
-
-
 @pytest.mark.parametrize("coupling", ["nan", "inf", "0"])
-@pytest.mark.parametrize("command", ["amplitude", "sweep", "factorize"])
+@pytest.mark.parametrize("command", ["amplitude", "sweep"])
 def test_non_finite_or_zero_coupling_is_config_error(capsys, command, coupling):
-    # a NaN coupling once gave factorize "residual": 0.0 and exit 0, and
-    # amplitude and sweep printed NaN or Infinity, which is not JSON
+    # amplitude and sweep once printed NaN or Infinity, which is not JSON
     code, out, err = run_cli(capsys, *SUBCOMMAND_ARGV[command], "--coupling", coupling)
     assert code == 2
     assert out == ""
     assert "--coupling" in err
+
+
+def test_factorize_refuses_windings_and_cutoff_before_drawing_kinematics(capsys, monkeypatch):
+    monkeypatch.setattr("knotscatter.cli.random_kinematics", lambda *args: pytest.fail("kinematics were drawn"))
+    for argv in (("--p", "2", "--q", "4"), ("--p", "2", "--q", "3", "--lambda0", "1.0")):
+        code, out, _ = run_cli(capsys, "factorize", *argv, "--n", "100000")
+        assert code == 2
+        assert out == ""
 
 
 def test_factorize_rejects_non_coprime(capsys):

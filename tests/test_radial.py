@@ -145,6 +145,25 @@ def test_degenerate_and_domain_errors():
         radial_reference(-1.5, 5, 0.5, LAMBDA0)
 
 
+RADIAL_FUNCTIONS = {
+    "quadrature": lambda k, lambda0: radial_quadrature(-1.5, 0, k, lambda0),
+    "reference": lambda k, lambda0: radial_reference(-1.5, 0, k, lambda0),
+    "closed": lambda k, lambda0: radial_A_closed(2, k, lambda0),
+    "production": _rho_values,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", ["k", "lambda0"])
+@pytest.mark.parametrize("name", sorted(RADIAL_FUNCTIONS))
+def test_non_finite_k_or_lambda0_is_refused(name, position, bad):
+    # max(nan, 1e-9) is nan, so a NaN k once sent the quadrature's zero march
+    # over NaN grids forever, and the closed form summed 1F2 to its term budget
+    k, lambda0 = (bad, LAMBDA0) if position == "k" else (0.5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        RADIAL_FUNCTIONS[name](k, lambda0)
+
+
 def test_insufficient_panels_raise_nonconvergent():
     with pytest.raises(NonConvergent):
         radial_quadrature(-1.5, 0, 0.5, LAMBDA0, n_panels=7, abs_tol=1e-30)
@@ -152,16 +171,13 @@ def test_insufficient_panels_raise_nonconvergent():
 
 def test_radial_coefficient_maps():
     kin = ScatteringKinematics.from_angles(0.5, 0.4, 1.1, 2.0, -0.6, LAMBDA0)
-    coeffs = radial_coefficients(kin)
+    rho_a0, rho_a2, rho_b1, rho_b3 = radial_coefficients(kin)
     # the radial factors are evaluated at the momentum transfer, not at k
-    assert coeffs.k == pytest.approx(kin.q_mag)
-    np.testing.assert_array_equal(coeffs.khat, kin.q_hat)
-
     q = kin.q_mag
-    assert coeffs.rho_a0 == pytest.approx(radial_quadrature(-1.5, 0, q, LAMBDA0), rel=1e-10)
-    assert coeffs.rho_a2 == pytest.approx(radial_A_closed(2, q, LAMBDA0), rel=1e-9)
-    assert coeffs.rho_b1 == pytest.approx(radial_quadrature(-2.5, 1, q, LAMBDA0) / q, rel=1e-9)
-    assert coeffs.rho_b3 == pytest.approx(radial_B_closed(3, q, LAMBDA0), rel=1e-9)
+    assert rho_a0 == pytest.approx(radial_quadrature(-1.5, 0, q, LAMBDA0), rel=1e-10)
+    assert rho_a2 == pytest.approx(radial_A_closed(2, q, LAMBDA0), rel=1e-9)
+    assert rho_b1 == pytest.approx(radial_quadrature(-2.5, 1, q, LAMBDA0) / q, rel=1e-9)
+    assert rho_b3 == pytest.approx(radial_B_closed(3, q, LAMBDA0), rel=1e-9)
 
 
 @settings(deadline=None, max_examples=15)
