@@ -12,7 +12,10 @@ from knotscatter.curves import moment_samples
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refusing a flag
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -207,10 +210,21 @@ def test_cutoff_inside_the_curve_is_config_error(capsys, command, lambda0):
     assert "enclose" in err
 
 
+def test_factorize_rejects_zero_coupling(capsys):
+    # the residual's relative defect does not depend on g, so factorize takes
+    # no --coupling at all; a zero one is refused by name
+    code, out, err = run_cli(capsys, "factorize", "--p", "2", "--q", "3", "--n", "3", "--coupling", "0")
+    assert code == 2
+    assert out == ""
+    assert "coupling" in err
+
+
 @pytest.mark.parametrize("coupling", ["nan", "inf", "0"])
-@pytest.mark.parametrize("command", ["amplitude", "sweep"])
+@pytest.mark.parametrize("command", ["amplitude", "sweep", "factorize"])
 def test_non_finite_or_zero_coupling_is_config_error(capsys, command, coupling):
-    # amplitude and sweep once printed NaN or Infinity, which is not JSON
+    # a NaN coupling once gave factorize "residual": 0.0 and exit 0 (it now
+    # refuses the flag), and amplitude and sweep printed NaN or Infinity,
+    # which is not JSON
     code, out, err = run_cli(capsys, *SUBCOMMAND_ARGV[command], "--coupling", coupling)
     assert code == 2
     assert out == ""
