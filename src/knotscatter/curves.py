@@ -286,8 +286,10 @@ def check_cutoff(spec: KnotSpec, lambda0: float) -> None:
     lambda0^2 clears that bound; the cutoff is refused at or below max_grid F,
     or if the last grid, max(2^16, the power of two at or above 8 pi B),
     still does not clear it. On that grid the margin 1 - 2 pi B / M is at
-    least 3/4.
+    least 3/4. A lambda0 outside (0, inf), NaN included, is refused first.
     """
+    if not 0.0 < lambda0 < math.inf:
+        raise ValueError(f"cutoff lambda0 must be positive and finite, got {lambda0}")
     if lambda0 > np.linalg.norm(_spectrum(spec)[1], axis=1).sum():
         return
     last = max(1 << 16, 1 << (math.ceil(4.0 * TWO_PI * spec.bandwidth) - 1).bit_length())

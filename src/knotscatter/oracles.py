@@ -13,7 +13,9 @@ oracle recomputes a production quantity by another route:
   checks the closed forms and radial_reference.
 * radial_reference, the sine/cosine reduction at a single order, is the
   second scheme for the orders whose closed form is degenerate (l = 0 for A,
-  l = 1 for B).
+  l = 1 for B). At l = 1 of B it is apart from production, which takes
+  rho_B(1) from the Bessel recurrence; at l = 0 of A it shares production's
+  moment integral_a^inf e^{ix}/x^2 dx, and the mpmath tests check that one.
 * angular_bracket sums monomial_expansion, a monomial's Gaunt-linearized
   expansion over spherical_harmonic (gaunt, clebsch_gordan), against an
   (l, m) map; on i^l Y_lm(qhat) rho(l) it checks born's brackets.
@@ -47,7 +49,7 @@ from .born import ScatteringKinematics
 from .curves import KnotSpec, TorusKnot, check_cutoff
 from .multipole import OctopoleMoments, QuadrupoleMoments, octopole_moments, quadrupole_moments
 from .potential import FieldPoint, _biot_savart_batch, _multipole_components, multipole_potential
-from .radial import _SIN_COS_FORM, _check_kl, _sin_cos_integral, _sin_cos_moments, _validate_kl
+from .radial import _check_kl, _sin_cos_moments, _validate_kl
 from .specfun import DegenerateClosedForm, NonConvergent, hyp1f2
 
 _SQ = math.sqrt
@@ -241,16 +243,36 @@ def radial_quadrature(
     return float(limit) * k ** (s - 1)
 
 
+#: j_l(x) written as S(1/x) sin(x) + C(1/x) cos(x) (DLMF 10.49); maps give
+#: {power: coefficient}.
+_SIN_COS_FORM = {
+    0: ({1: 1.0}, {}),
+    1: ({2: 1.0}, {1: -1.0}),
+    2: ({3: 3.0, 1: -1.0}, {2: -3.0}),
+    3: ({4: 15.0, 2: -6.0}, {3: -15.0, 1: 1.0}),
+}
+
+
+def _sin_cos_integral(l: int, s: int, moments: list[complex]) -> float:
+    # integral_a^inf j_l(x) / x^s dx from the moments of radial._sin_cos_moments
+    sin_coef, cos_coef = _SIN_COS_FORM[l]
+    total = sum(c * moments[m + s].imag for m, c in sin_coef.items())
+    total += sum(c * moments[m + s].real for m, c in cos_coef.items())
+    return float(total)
+
+
 def radial_reference(weight_power: float, l: int, k: float, lambda0: float) -> float:
     """Evaluation of the radial integral via sine/cosine integrals, one order.
 
-    Expands j_l into sin and cos terms and reduces every piece to Si and Ci
-    with an exact integration-by-parts recurrence: the production scheme for
-    l = 0 at every a = k*lambda0 and for every order at a >= 2. Structurally
-    unrelated to the panel quadrature, which makes it the second scheme for
-    validating the orders whose closed form is degenerate. Loses digits to
-    cancellation at small a for l >= 1 (l = 1: 4e-11 relative at a = 1e-3;
-    l = 3: 1e-2).
+    Expands j_l into sin and cos terms (DLMF 10.49) and reduces every piece
+    to Si and Ci with an exact integration-by-parts recurrence, or from
+    a = k*lambda0 = 60 on to the asymptotic series of the highest moment
+    (radial._sin_cos_moments). Only l = 0 with s = 1 coincides with
+    production (rho_A(0) = sin(a)/a - Ci(a)); every other order is a scheme
+    apart from it. Structurally unrelated to the panel quadrature, which
+    makes it the second scheme for validating the orders whose closed form
+    is degenerate. Loses digits to cancellation at small a for l >= 1
+    (l = 1: 4e-11 relative at a = 1e-3; l = 3: 1e-2).
     """
     if weight_power not in WEIGHT_POWERS:
         raise ValueError(f"weight_power must be one of {WEIGHT_POWERS}, got {weight_power}")

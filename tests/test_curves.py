@@ -249,6 +249,13 @@ def test_check_cutoff_on_the_presets():
     check_cutoff(TorusKnot(3, 4), 3.002)
 
 
+@pytest.mark.parametrize("lambda0", [-10.0, -3.5, 0.0, math.nan, math.inf])
+def test_check_cutoff_refuses_a_cutoff_outside_the_positive_reals(lambda0):
+    # comparing lambda0^2 alone once certified -3.5, -10 and inf
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_cutoff(TorusKnot(2, 3), lambda0)
+
+
 def test_check_cutoff_accepts_a_dense_curve_inside_its_coefficient_bound():
     # B = 10000 > 2^16 / 2 pi: a 2^16-point grid has a negative Bernstein
     # margin, so the last grid grows to 2^18 >= 8 pi B, where the margin is

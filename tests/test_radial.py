@@ -164,6 +164,14 @@ def test_non_finite_k_or_lambda0_is_refused(name, position, bad):
         RADIAL_FUNCTIONS[name](k, lambda0)
 
 
+@pytest.mark.parametrize("name", sorted(RADIAL_FUNCTIONS))
+def test_overflowing_k_times_lambda0_is_refused(name):
+    # finite k and lambda0 whose product overflows once failed by accident,
+    # with "math domain error" or "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="finite"):
+        RADIAL_FUNCTIONS[name](1e200, 1e200)
+
+
 def test_insufficient_panels_raise_nonconvergent():
     with pytest.raises(NonConvergent):
         radial_quadrature(-1.5, 0, 0.5, LAMBDA0, n_panels=7, abs_tol=1e-30)
@@ -262,6 +270,19 @@ def test_production_rho_is_continuous_across_its_scheme_switches(a):
     for (l, s), got in values.items():
         want = _mp_rho(l, s, a_used)
         assert abs(got - want) <= 1e-12 * max(abs(want), a_used ** -(s + 1))
+
+
+def test_production_rho_b1_is_the_bessel_recurrence_at_every_a():
+    # j_0(x) + j_2(x) = 3 j_1(x)/x (DLMF 10.51.1) makes rho_B(1) = (rho_A(0) + rho_A(2)) / 3
+    # exact; from a = 2 on it is checked against the sine/cosine reduction of j_1(x)/x^2
+    for a in np.geomspace(1e-3, 1e3, 241):
+        k = float(a) / LAMBDA0
+        rho_a0, rho_a2, rho_b1, _ = _rho_values(k, LAMBDA0)
+        assert rho_b1 == (rho_a0 + rho_a2) / 3.0
+        a_used = k * LAMBDA0
+        if a_used >= 2.0:
+            want = radial_reference(-2.5, 1, k, LAMBDA0) / k
+            assert abs(rho_b1 - want) <= 5e-13 * max(abs(rho_b1), a_used**-3)
 
 
 def test_production_rho_refuses_beyond_the_accepted_range():
