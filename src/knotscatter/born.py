@@ -6,9 +6,10 @@ the exterior of the cutoff sphere r = lambda0 is
     V_ni = -(g / 4 pi) * integral_{r > lambda0} e^{i q.r} A~(x) . K  dV,
 
 with q = k_i - k_n (momentum transfer), K = k_i + k_n, g the coupling
-prefactor, and A~ the unit-prefactor multipole potential. Its octopole
-truncation is the term table of potential.py: 20 terms, each a moment row,
-a numeric factor and a direction-cosine monomial at order 1/r^3 or 1/r^4.
+prefactor, and A~ the unit-prefactor multipole potential; ScatteringKinematics
+computes q, |q|, qhat and K at construction. The octopole truncation of A~
+is the term table of potential.py: 20 terms, each a moment row, a numeric
+factor and a direction-cosine monomial at order 1/r^3 or 1/r^4.
 The Fourier transform is taken one term at a time: term t contributes
 -g (K . row_t) factor_t bracket_t. By the addition theorem (DLMF 14.30.9)
 the plane wave weights the degree-l harmonic part of the term's monomial at
@@ -43,8 +44,7 @@ is the reduced on-shell element V_ni.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,26 +77,27 @@ def _lower_part(term: np.ndarray) -> np.ndarray:
 _LOWER_PARTS = np.array([_lower_part(term) for term in _MONOMIALS.T])
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class ScatteringKinematics:
     """On-shell incident/outgoing wave vectors and the cutoff radius.
 
-    Derived quantities: q_vec = k_i - k_n (momentum transfer), its magnitude
-    q_mag and direction q_hat, and K_vec = k_i + k_n (which contracts the
-    moment tensors). Each is computed once per instance and the arrays are
-    read-only, so every amplitude on one kinematics shares them. Off-shell
-    pairs and forward scattering (q = 0, where the monopole radial integral
-    diverges) are rejected.
+    Derived quantities, computed at construction: k = |k_i|, q_vec = k_i - k_n
+    (momentum transfer), its magnitude q_mag and direction q_hat, and
+    K_vec = k_i + k_n (which contracts the moment tensors). The arrays are
+    read-only, so every amplitude on one kinematics shares them; equality,
+    hashing, repr and pickling see only (k_i, k_n, lambda0). Wave vectors
+    whose norms or |q| overflow, off-shell pairs and forward scattering
+    (q = 0, where the monopole radial integral diverges) are rejected.
     """
 
     k_i: tuple[float, float, float]
     k_n: tuple[float, float, float]
     lambda0: float = 3.5
+    k: float = field(init=False, repr=False, compare=False)
+    q_vec: np.ndarray = field(init=False, repr=False, compare=False)
+    q_mag: float = field(init=False, repr=False, compare=False)
+    q_hat: np.ndarray = field(init=False, repr=False, compare=False)
+    K_vec: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ki = tuple(float(c) for c in self.k_i)
@@ -111,6 +112,10 @@ class ScatteringKinematics:
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
         k_mag = math.sqrt(sum(c * c for c in ki))
         kn_mag = math.sqrt(sum(c * c for c in kn))
+        q_vec = np.array(ki) - np.array(kn)
+        q_mag = float(np.linalg.norm(q_vec))
+        if not all(math.isfinite(norm) for norm in (k_mag, kn_mag, q_mag)):
+            raise ValueError(f"wave-vector norms overflow: |k_i| = {k_mag}, |k_n| = {kn_mag}, |q| = {q_mag}")
         if k_mag == 0.0:
             raise ValueError("incident wave vector must be nonzero")
         if abs(k_mag - kn_mag) > ON_SHELL_RTOL * k_mag:
@@ -118,8 +123,18 @@ class ScatteringKinematics:
                 f"off the elastic shell: |k_i| = {k_mag}, |k_n| = {kn_mag} "
                 f"(relative tolerance {ON_SHELL_RTOL})"
             )
-        if self.q_mag <= FORWARD_RTOL * k_mag:
+        if q_mag <= FORWARD_RTOL * k_mag:
             raise ValueError("forward scattering (q = 0) is excluded: khat undefined")
+        q_hat = q_vec / q_mag
+        K_vec = np.array(ki) + np.array(kn)
+        for arr in (q_vec, q_hat, K_vec):
+            arr.flags.writeable = False
+        for name, value in (("k", k_mag), ("q_vec", q_vec), ("q_mag", q_mag), ("q_hat", q_hat), ("K_vec", K_vec)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # rebuilt through __post_init__, so an unpickled copy's arrays are read-only too
+        return type(self), (self.k_i, self.k_n, self.lambda0)
 
     @classmethod
     def from_angles(
@@ -139,26 +154,6 @@ class ScatteringKinematics:
             return (k * st * math.cos(phi), k * st * math.sin(phi), k * math.cos(theta))
 
         return cls(k_i=vec(ki_theta, ki_phi), k_n=vec(kn_theta, kn_phi), lambda0=lambda0)
-
-    @property
-    def k(self) -> float:
-        return math.sqrt(sum(c * c for c in self.k_i))
-
-    @cached_property
-    def q_vec(self) -> np.ndarray:
-        return _read_only(np.array(self.k_i) - np.array(self.k_n))
-
-    @cached_property
-    def q_mag(self) -> float:
-        return float(np.linalg.norm(self.q_vec))
-
-    @cached_property
-    def q_hat(self) -> np.ndarray:
-        return _read_only(self.q_vec / self.q_mag)
-
-    @cached_property
-    def K_vec(self) -> np.ndarray:
-        return _read_only(np.array(self.k_i) + np.array(self.k_n))
 
     def swapped(self) -> "ScatteringKinematics":
         """Time-reversed pair (k_n -> k_i); useful for Hermiticity checks."""

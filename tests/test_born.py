@@ -1,6 +1,8 @@
 """Assembled matrix elements: structure, factorization, and the volume-quadrature oracle."""
 
+import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -23,8 +25,8 @@ from knotscatter import (
     triad_amplitude,
 )
 from knotscatter.born import amplitude_to_dict
-from knotscatter.curves import sampled_from_spec
-from knotscatter.multipole import SORTED_PAIRS, SORTED_TRIPLES
+from knotscatter.curves import moment_samples, sample_curve, sampled_from_spec
+from knotscatter.multipole import EPS, SORTED_PAIRS, SORTED_TRIPLES
 from knotscatter.oracles import BruteforceGrid, spherical_harmonic, sphere_quadrature_bracket, vni_bruteforce
 from knotscatter.potential import _FACTORS, _MONOMIALS, _PIECES, _moment_rows
 from knotscatter.radial import radial_coefficients
@@ -62,6 +64,55 @@ def test_kinematics_compute_q_and_K_once(monkeypatch):
     assert kin.q_hat is kin.q_hat
     for arr in (kin.q_vec, kin.q_hat, kin.K_vec):
         assert not arr.flags.writeable
+
+
+DERIVED = ("k", "q_vec", "q_mag", "q_hat", "K_vec")
+
+
+def test_kinematics_derive_their_fields_at_construction():
+    kin = ScatteringKinematics.from_angles(0.7, 0.4, 1.1, 2.0, -0.6, 4.0)
+    assert set(DERIVED) <= vars(kin).keys()
+    twin = ScatteringKinematics(kin.k_i, kin.k_n, kin.lambda0)
+    restored = pickle.loads(pickle.dumps(kin))
+    for other in (twin, restored):
+        assert other == kin
+        assert hash(other) == hash(kin)
+        assert repr(other) == repr(kin) == f"ScatteringKinematics(k_i={kin.k_i!r}, k_n={kin.k_n!r}, lambda0=4.0)"
+        for name in DERIVED:
+            np.testing.assert_array_equal(getattr(other, name), getattr(kin, name))
+        for arr in (other.q_vec, other.q_hat, other.K_vec):
+            assert not arr.flags.writeable
+    moved = dataclasses.replace(kin, lambda0=5.0)
+    assert moved.lambda0 == 5.0
+    assert moved != kin
+    assert moved.q_vec is not kin.q_vec
+    np.testing.assert_array_equal(moved.q_hat, kin.q_hat)
+    turned = dataclasses.replace(kin, k_n=kin.k_i[::-1])
+    np.testing.assert_array_equal(turned.q_vec, np.array(kin.k_i) - np.array(kin.k_i[::-1]))
+    np.testing.assert_array_equal(turned.K_vec, np.array(kin.k_i) + np.array(kin.k_i[::-1]))
+    assert turned.q_mag == float(np.linalg.norm(turned.q_vec))
+    np.testing.assert_array_equal(turned.q_hat, turned.q_vec / turned.q_mag)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScatteringKinematics((1.2e154, 0.0, 0.0), (-1.2e154, 0.0, 0.0)),  # |q|^2 = 5.8e308
+        lambda: ScatteringKinematics((1e200, 0.0, 0.0), (0.0, 1e100, 0.0)),  # off shell, |k_i| = inf
+        lambda: ScatteringKinematics.from_angles(1e200, 0.4, 1.1, 2.0, -0.6),
+    ],
+    ids=["back-scattered", "off-shell", "from-angles"],
+)
+def test_overflowing_norms_are_refused(make):
+    # an inf norm would pass as |q| or, through inf - inf = NaN, read as forward scattering
+    with pytest.raises(ValueError, match="overflow"):
+        make()
+
+
+def test_largest_wave_vectors_stay_accepted():
+    kin = ScatteringKinematics((1e153, 0.0, 0.0), (-1e153, 0.0, 0.0))
+    assert kin.q_mag == 2e153
+    np.testing.assert_array_equal(kin.q_hat, [1.0, 0.0, 0.0])
 
 
 def test_kinematics_validation():
@@ -191,6 +242,58 @@ def test_each_piece_is_its_docstring_formula(spec, lambda0):
         got = _components(born_amplitude(spec, kin, -1.7))
         want = _docstring_pieces(spec, kin, -1.7)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), a
+
+
+def _current_moments(spec):
+    # X_ibcd = eps_imb * loop integral of t_m r_c r_d, exact on the moment grid
+    n = moment_samples(spec)
+    _, pos, der = sample_curve(spec, n)
+    return np.einsum("imb,jm,jc,jd->ibcd", EPS, der, pos, pos) * (2.0 * math.pi / n)
+
+
+@pytest.mark.parametrize(
+    "spec,lambda0",
+    [
+        (TorusKnot(2, 3), 3.5), (TorusKnot(3, 2), 3.5), (TorusKnot(2, 5), 3.5),
+        (UnknotXY(), 3.5), (UnknotXZ(), 3.5), (_noisy_curve(), 4.5),
+    ],
+    ids=["torus-2-3", "torus-3-2", "torus-2-5", "unknot-xy", "unknot-xz", "noisy-300"],
+)
+def test_piece_totals_are_closed_forms(spec, lambda0):
+    # K . qhat = 0 on shell cancels the rho_A(0) and rho_B(1) parts of each order:
+    # v1 + v2 = g rho_A(2) K . kappa and v3 + v4 = i g |q| rho_B(3) K . B(qhat)
+    g = -1.3
+    kappa = quadrupole_moments(spec).K
+    X = _current_moments(spec)
+    rng = np.random.default_rng(12)
+    for a in np.geomspace(1e-3, 999.0, 60):
+        unit = random_kinematics(rng, 1.0, lambda0)[0]
+        scale = a / (unit.q_mag * lambda0)
+        kin = ScatteringKinematics(tuple(scale * np.array(unit.k_i)), tuple(scale * np.array(unit.k_n)), lambda0)
+        qh = kin.q_hat
+        B = (7.5 * np.einsum("ibcd,b,c,d->i", X, qh, qh, qh) - 3.0 * np.einsum("ibbc,c->i", X, qh)
+             - 1.5 * np.einsum("ibcc,b->i", X, qh))
+        _, rho_a2, _, rho_b3 = radial_coefficients(kin)
+        pieces = _components(born_amplitude(spec, kin, g))
+        largest = np.abs(pieces).max()
+        assert abs(pieces[0] + pieces[1] - g * rho_a2 * (kin.K_vec @ kappa)) <= 1e-12 * largest, a
+        assert abs(pieces[2] + pieces[3] - 1j * g * kin.q_mag * rho_b3 * (kin.K_vec @ B)) <= 1e-12 * largest, a
+
+
+@pytest.mark.parametrize("noise,lambda0", [(0.0, 3.5), (0.05, 4.5)], ids=["sampled-2-3", "noisy-2-3"])
+def test_mirror_image_negates_every_piece(noise, lambda0):
+    # V(P curve; k_i, k_n) = -V(curve; P k_i, P k_n) for the reflection P = diag(1, 1, -1)
+    mirror = np.diag([1.0, 1.0, -1.0])
+    points = np.asarray(sampled_from_spec(TorusKnot(2, 3), 64).points)
+    points = points + noise * np.random.default_rng(3).normal(size=points.shape)
+    curve, image = SampledCurve.from_array(points), SampledCurve.from_array(points @ mirror)
+    rng = np.random.default_rng(8)
+    for k in np.geomspace(1e-3, 400.0, 60) / lambda0:
+        kin = random_kinematics(rng, k, lambda0)[0]
+        reflected = ScatteringKinematics(tuple(mirror @ kin.k_i), tuple(mirror @ kin.k_n), lambda0)
+        got = _components(born_amplitude(image, kin, -1.3))
+        want = -_components(born_amplitude(curve, reflected, -1.3))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), k
 
 
 def _mp_pieces(spec, kin, g):

@@ -123,6 +123,15 @@ def test_non_finite_file_points_are_a_config_error(tmp_path, capsys, bad, argv):
     assert "curve point 3 is not finite" in err
 
 
+def test_amplitude_refuses_an_overflowing_wave_number(capsys):
+    # |k| = 1e200 squares past the float range, so its norm is inf
+    argv = SUBCOMMAND_ARGV["amplitude"]
+    code, out, err = run_cli(capsys, *argv[:argv.index("--k") + 1], "1e200", *argv[argv.index("--k") + 2:])
+    assert code == 2
+    assert out == ""
+    assert "overflow" in err
+
+
 def test_potential_csv_layout(capsys):
     code, out, _ = run_cli(
         capsys,
